@@ -42,7 +42,7 @@ struct MinCostConfig {
   /// Optional edit span for cached solves (fast-path contract in
   /// core/dp_cache.h): a complete span lets planning skip the O(N)
   /// signature sweep.  Empty = unknown = full sweep.
-  std::span<const ScenarioDelta> deltas;
+  std::span<const ScenarioDelta> deltas{};
   /// Set when `topo`/`scen` are a contracted tree (core/dp_contract.h):
   /// the placement is emitted under original ids, sealed leaves
   /// reconstruct through view.expand_sealed, and the root scan prices

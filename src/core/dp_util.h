@@ -104,21 +104,16 @@ inline std::vector<CompactEntry> compact_valid_entries(
     const Box& box, const std::vector<RequestCount>& flow, const Box& target) {
   TREEPLACE_DCHECK(box.dims() == target.dims());
   std::vector<CompactEntry> out;
-  std::vector<int> digits(box.dims(), 0);
+  std::vector<int> digits;
   for (std::size_t flat = 0; flat < box.size(); ++flat) {
-    if (flow[flat] != kInvalidFlow) {
-      std::uint64_t dot = 0;
-      for (std::size_t d = 0; d < box.dims(); ++d) {
-        dot += static_cast<std::uint64_t>(digits[d]) * target.stride(d);
-      }
-      out.push_back(CompactEntry{static_cast<std::uint32_t>(flat), flow[flat],
-                                 dot});
+    if (flow[flat] == kInvalidFlow) continue;
+    box.decode(flat, digits);
+    std::uint64_t dot = 0;
+    for (std::size_t d = 0; d < digits.size(); ++d) {
+      dot += static_cast<std::uint64_t>(digits[d]) * target.stride(d);
     }
-    // Odometer increment.
-    for (std::size_t d = box.dims(); d-- > 0;) {
-      if (++digits[d] <= box.bounds()[d]) break;
-      digits[d] = 0;
-    }
+    out.push_back(
+        CompactEntry{static_cast<std::uint32_t>(flat), flow[flat], dot});
   }
   return out;
 }

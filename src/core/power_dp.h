@@ -56,7 +56,7 @@ struct PowerDPOptions {
   /// core/dp_cache.h), planning checks only the touched nodes instead of
   /// sweeping all N signatures.  Empty always means "unknown" and selects
   /// the sweep.  The span must outlive the solve call.
-  std::span<const ScenarioDelta> deltas;
+  std::span<const ScenarioDelta> deltas{};
   /// Set when `topo`/`scen` are a contracted tree (see core/dp_contract.h):
   /// placements and frontier points are emitted under *original* ids,
   /// sealed leaves reconstruct through view.expand_sealed, and the root

@@ -26,8 +26,7 @@ void Connection::pump() {
 void Connection::input_done() {
   if (peer_eof_) return;
   peer_eof_ = true;
-  // A final line without a terminating newline still counts, as it does
-  // for getline() at EOF in stream mode.
+  // A final line without a terminating newline still counts.
   if (std::optional<std::string_view> rest = in_.take_rest()) {
     if (!rest->empty()) {
       if (std::optional<ServeRequest> request = parser_.feed(*rest)) {

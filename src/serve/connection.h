@@ -28,7 +28,6 @@
 #include <optional>
 #include <string>
 
-#include "serve/request_stream.h"
 #include "serve/wire.h"
 
 namespace treeplace::serve {
@@ -81,7 +80,7 @@ class Connection {
 
   /// The peer half-closed its write side: parse the trailing unterminated
   /// line, if any, and complete the in-progress record — end-of-input
-  /// terminates a record exactly as in stream mode.
+  /// terminates a record, as it does for StreamServer.
   void input_done();
 
   bool peer_eof() const { return peer_eof_; }

@@ -57,20 +57,26 @@ std::future<ServeResult> SolveDispatcher::submit(
     return ready.get_future();
   }
 
-  {
-    std::unique_lock lock(mutex_);
-    slot_freed_.wait(lock, [this] { return in_flight_ < queue_capacity_; });
-    ++in_flight_;
-    ++stats_.submitted;
-    stats_.max_in_flight = std::max(stats_.max_in_flight, in_flight_);
-  }
+  std::unique_lock lock(mutex_);
+  slot_freed_.wait(lock, [this] { return in_flight_ < queue_capacity_; });
+  ++in_flight_;
+  ++stats_.submitted;
+  stats_.max_in_flight = std::max(stats_.max_in_flight, in_flight_);
+  const std::uint64_t ticket = take_ticket(solver, session.get());
   Stopwatch queued;
   return pool_.submit([this, solver_index, instance = std::move(instance),
                        session = std::move(session),
-                       deltas = std::move(deltas), queued] {
-    return run_solve(solver_index, instance, session.get(), deltas,
+                       deltas = std::move(deltas), ticket, queued] {
+    return run_solve(solver_index, instance, session.get(), ticket, deltas,
                      queued.seconds());
   });
+}
+
+std::uint64_t SolveDispatcher::take_ticket(const Solver& solver,
+                                           SolveSession* session) {
+  return session != nullptr && solver.supports_incremental()
+             ? session->take_ticket()
+             : 0;
 }
 
 bool SolveDispatcher::try_reserve_slot() {
@@ -118,28 +124,36 @@ void SolveDispatcher::submit_reserved(std::size_t solver_index,
     return;
   }
 
+  std::scoped_lock lock(mutex_);
+  const std::uint64_t ticket = take_ticket(solver, session.get());
   Stopwatch queued;
   // run_solve releases the queue slot before returning, so by the time
   // `done` fires the caller may immediately reserve again.
   pool_.submit([this, solver_index, instance = std::move(instance),
                 session = std::move(session), deltas = std::move(deltas),
-                queued, done = std::move(done)]() mutable {
-    done(run_solve(solver_index, instance, session.get(), deltas,
+                ticket, queued, done = std::move(done)]() mutable {
+    done(run_solve(solver_index, instance, session.get(), ticket, deltas,
                    queued.seconds()));
   });
 }
 
 ServeResult SolveDispatcher::run_solve(
     std::size_t solver_index, const Instance& instance, SolveSession* session,
-    const std::vector<ScenarioDelta>& deltas, double queue_seconds) {
+    std::uint64_t ticket, const std::vector<ScenarioDelta>& deltas,
+    double queue_seconds) {
   ServeResult result;
   result.queue_seconds = queue_seconds;
   const Solver& solver = *solvers_[solver_index];
   Stopwatch watch;
   try {
     if (session != nullptr && solver.supports_incremental()) {
-      // Warm solves over one session serialize; sessions are per topology,
-      // so only same-topology requests contend.
+      // Warm solves over one session run one at a time in submit order;
+      // sessions are per topology, so only same-topology requests wait.
+      session->wait_turn(ticket);
+      struct EndTurn {
+        SolveSession* session;
+        ~EndTurn() { session->end_turn(); }
+      } end_turn{session};
       std::scoped_lock session_lock(session->solve_mutex());
       result.solution = solver.solve(SolveRequest{instance, deltas, session});
       result.warm = true;

@@ -93,9 +93,10 @@ class SolveDispatcher {
   ///
   /// When `session` is set and the solver supports incremental solves, the
   /// worker runs Solver::solve(SolveRequest) under the session's solve
-  /// mutex (solves sharing one session serialize; results stay
-  /// bit-identical to cold solves either way).  `deltas` is the warm-start
-  /// hint forwarded to the solver.
+  /// mutex.  Solves sharing one session run one at a time in submit order
+  /// (SolveSession::take_ticket), so their results and work counters do
+  /// not depend on the thread count.  `deltas` is the warm-start hint
+  /// forwarded to the solver.
   std::future<ServeResult> submit(std::size_t solver_index, Instance instance,
                                   std::shared_ptr<SolveSession> session =
                                       nullptr,
@@ -138,8 +139,14 @@ class SolveDispatcher {
   DispatcherStats stats() const;
 
  private:
+  /// The session turn of a solve about to be queued (0 for cold solves,
+  /// which take none).  Called under mutex_ right before the enqueue, so
+  /// tickets follow the pool's FIFO queue order.
+  static std::uint64_t take_ticket(const Solver& solver,
+                                   SolveSession* session);
+
   ServeResult run_solve(std::size_t solver_index, const Instance& instance,
-                        SolveSession* session,
+                        SolveSession* session, std::uint64_t ticket,
                         const std::vector<ScenarioDelta>& deltas,
                         double queue_seconds);
 

@@ -551,60 +551,24 @@ void NetServer::Loop::process_requests(Connection* conn) {
       break;  // socket read interest drops until a slot frees up
     }
 
-    // Mirrors StreamServer: tree records (re)register the topology and
-    // solve through the fresh session; delta records fork the cached base.
-    std::optional<Instance> instance;
-    std::shared_ptr<SolveSession> session;
-    std::optional<ServeResult> inline_error;
-    if (request.tree) {
-      auto topology = request.tree->topology_ptr();
-      Scenario base = std::move(request.tree->scenario());
-      session = cache_.put(cache_key, topology, base);
-      if (!config_.persist_dir.empty() && conn->named) {
-        maybe_restore(cache_key, *session);
-      }
-      instance.emplace(std::move(topology), std::move(base),
-                       config_.stream.modes, config_.stream.costs,
-                       config_.stream.cost_budget);
-    } else {
-      std::optional<CachedTopology> entry = cache_.get(cache_key);
-      if (!entry) {
-        ServeResult miss;
-        miss.error = "unknown topology '" + client_key +
-                     "' (not in the stream, or evicted from the cache)";
-        inline_error = std::move(miss);
-      } else {
-        try {
-          Scenario scen = std::move(entry->base);
-          for (const ScenarioDelta& delta : request.deltas) {
-            apply_delta(scen, delta);
-          }
-          session = std::move(entry->session);
-          instance.emplace(std::move(entry->topology), std::move(scen),
-                           config_.stream.modes, config_.stream.costs,
-                           config_.stream.cost_budget);
-        } catch (const CheckError& e) {
-          ServeResult bad;
-          bad.error = e.what();
-          inline_error = std::move(bad);
-        }
-      }
+    BoundRequest bound =
+        bind_request(request, cache_key, cache_, config_.stream);
+    // A named client re-publishing a tree resumes its saved warm state.
+    if (request.tree && !config_.persist_dir.empty() && conn->named) {
+      maybe_restore(cache_key, *bound.session);
     }
 
     const std::size_t seq = conn->allocate_seq(now());
-    if (inline_error) {
+    if (!bound.instance) {
       dispatcher_.release_reserved_slot();
       conn->complete(seq,
-                     render_result(request.id, client_key, *inline_error,
+                     render_result(request.id, client_key, bound.error,
                                    format_));
     } else {
-      if (config_.stream.project_original_modes) {
-        project_to_single_mode(instance->scenario);
-      }
       const std::uint64_t uid = conn->uid();
       const std::size_t id = request.id;
       dispatcher_.submit_reserved(
-          0, std::move(*instance), std::move(session),
+          0, std::move(*bound.instance), std::move(bound.session),
           std::move(request.deltas),
           [this, uid, seq, id, client_key](ServeResult result) {
             push_completion(Completion{

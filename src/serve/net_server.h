@@ -12,11 +12,12 @@
 // `treeplace-hello v1 name=<id>` handshake pins the client to the shard
 // owning stable_hash64(name) — same name, same shard, same warm session
 // across reconnects — while anonymous connections spread by uid.  The
-// socket plus its pre-read bytes are then handed off to the shard, which
-// serves it exactly as the single-loop server of PR 7 did: records are
-// framed incrementally (serve/wire.h), bind a TopologyCache entry + warm
-// SolveSession under a CacheKey namespaced by the connection, solve on
-// the shard's dispatcher, and return per-connection-ordered result lines
+// socket plus its pre-read bytes are then handed off to the shard.  There
+// records go through the same LineBuffer + RecordParser framing
+// (serve/wire.h) and the same bind_request() (serve/stream_server.h) as
+// in a StreamServer: each binds a TopologyCache entry + warm SolveSession
+// under a CacheKey namespaced by the connection, solves on the shard's
+// dispatcher, and returns per-connection-ordered result lines
 // byte-identical to a StreamServer run of the same records (modulo
 // queue_s=/solve_s= timings) — for any shard count.
 //

@@ -3,11 +3,10 @@
 #include <deque>
 #include <istream>
 #include <ostream>
+#include <span>
 #include <string>
 #include <utility>
 
-#include "serve/request_stream.h"
-#include "serve/wire.h"
 #include "support/check.h"
 #include "support/timer.h"
 
@@ -29,7 +28,51 @@ std::future<ServeResult> ready_result(ServeResult result) {
   return promise.get_future();
 }
 
+/// Bytes requested from the istream per read.
+constexpr std::size_t kReadChunk = 64 * 1024;
+
 }  // namespace
+
+BoundRequest bind_request(ServeRequest& request, const CacheKey& key,
+                          TopologyCache& cache,
+                          const StreamServerConfig& config) {
+  // Sessions ride with their cache entry: a tree record's base solve fills
+  // the session's DP tables cold, subsequent delta requests on the same
+  // topology re-solve warm, and eviction drops the session with the
+  // topology (in-flight solves keep it alive via the shared_ptr).
+  BoundRequest bound;
+  if (request.tree) {
+    auto topology = request.tree->topology_ptr();
+    Scenario base = std::move(request.tree->scenario());
+    bound.session = cache.put(key, topology, base);
+    bound.instance.emplace(std::move(topology), std::move(base), config.modes,
+                           config.costs, config.cost_budget);
+  } else {
+    std::optional<CachedTopology> entry = cache.get(key);
+    if (!entry) {
+      bound.error.error = "unknown topology '" + key.topology_key +
+                          "' (not in the stream, or evicted from the cache)";
+      return bound;
+    }
+    try {
+      // The cache handed out a private fork; apply the deltas on top.
+      Scenario scen = std::move(entry->base);
+      for (const ScenarioDelta& delta : request.deltas) {
+        apply_delta(scen, delta);
+      }
+      bound.session = std::move(entry->session);
+      bound.instance.emplace(std::move(entry->topology), std::move(scen),
+                             config.modes, config.costs, config.cost_budget);
+    } catch (const CheckError& e) {
+      bound.error.error = e.what();
+      return bound;
+    }
+  }
+  if (config.project_original_modes) {
+    project_to_single_mode(bound.instance->scenario);
+  }
+  return bound;
+}
 
 StreamServer::StreamServer(StreamServerConfig config)
     : config_(std::move(config)) {
@@ -42,7 +85,6 @@ StreamServerSummary StreamServer::serve(std::istream& in, std::ostream& out) {
   TopologyCache cache(config_.cache_capacity,
                       SolveSession::Options{config_.session_max_bytes,
                                             config_.session_contract});
-  RequestStreamReader reader(in);
   StreamServerSummary summary;
   Stopwatch wall;
 
@@ -72,80 +114,54 @@ StreamServerSummary StreamServer::serve(std::istream& in, std::ostream& out) {
     out << rendered.line;
   };
 
-  // A malformed stream stops the reader but never the emitter: everything
-  // already dispatched is flushed below, then the summary block reports
-  // the failure (the CLI turns it into a nonzero exit).
+  const auto handle = [&](std::optional<ServeRequest> request) {
+    if (!request) return;
+    if (request->hello) {
+      // The handshake is always the stream's first record (the parser
+      // enforces it), so the reply precedes every result line.
+      out << hello_reply();
+      return;  // consumes no request ordinal, no dispatcher slot
+    }
+    Pending p;
+    p.id = request->id;
+    p.key = request->topology_key;
+    // Single-stream serving lives in cache namespace 0; the TCP front-end
+    // namespaces by connection (serve/connection.h).
+    BoundRequest bound = bind_request(*request, CacheKey{0, p.key}, cache,
+                                      config_);
+    p.result = bound.instance
+                   ? dispatcher.submit(0, std::move(*bound.instance),
+                                       std::move(bound.session),
+                                       std::move(request->deltas))
+                   : ready_result(std::move(bound.error));
+    pending.push_back(std::move(p));
+    ++summary.requests;
+    while (pending.size() > window) {
+      emit(pending.front());
+      pending.pop_front();
+    }
+  };
+
+  // The same framing a TCP connection uses: blocks of bytes into a
+  // LineBuffer, complete lines into the RecordParser.  A malformed stream
+  // stops the reader but never the emitter: everything already dispatched
+  // is flushed below, then the summary block reports the failure (the CLI
+  // turns it into a nonzero exit).
+  LineBuffer buffer;
+  RecordParser parser;
   try {
-    for (std::optional<ServeRequest> request = reader.next(); request;
-         request = reader.next()) {
-      if (request->hello) {
-        // The handshake is always the stream's first record (the reader
-        // enforces it), so the reply precedes every result line.
-        out << hello_reply();
-        continue;  // consumes no request ordinal, no dispatcher slot
-      }
-      Pending p;
-      p.id = request->id;
-      p.key = request->topology_key;
-      // Single-stream serving lives in cache namespace 0; the TCP
-      // front-end namespaces by connection (serve/connection.h).
-      const CacheKey cache_key{0, p.key};
-
-      // Sessions ride with their cache entry: a tree record's base solve
-      // fills the session's DP tables cold, subsequent delta requests on
-      // the same topology re-solve warm, and eviction drops the session
-      // with the topology (in-flight solves keep it alive via the
-      // shared_ptr).
-      std::optional<Instance> instance;
-      std::shared_ptr<SolveSession> session;
-      if (request->tree) {
-        auto topology = request->tree->topology_ptr();
-        Scenario base = std::move(request->tree->scenario());
-        session = cache.put(cache_key, topology, base);
-        instance.emplace(std::move(topology), std::move(base), config_.modes,
-                         config_.costs, config_.cost_budget);
-      } else {
-        std::optional<CachedTopology> entry = cache.get(cache_key);
-        if (!entry) {
-          ServeResult miss;
-          miss.error = "unknown topology '" + p.key +
-                       "' (not in the stream, or evicted from the cache)";
-          p.result = ready_result(std::move(miss));
-        } else {
-          try {
-            // The cache handed out a private fork; apply the deltas on top.
-            Scenario scen = std::move(entry->base);
-            for (const ScenarioDelta& delta : request->deltas) {
-              apply_delta(scen, delta);
-            }
-            session = std::move(entry->session);
-            instance.emplace(std::move(entry->topology), std::move(scen),
-                             config_.modes, config_.costs,
-                             config_.cost_budget);
-          } catch (const CheckError& e) {
-            ServeResult bad;
-            bad.error = e.what();
-            p.result = ready_result(std::move(bad));
-          }
-        }
-      }
-
-      if (instance) {
-        if (config_.project_original_modes) {
-          project_to_single_mode(instance->scenario);
-        }
-        p.result = dispatcher.submit(0, std::move(*instance),
-                                     std::move(session),
-                                     std::move(request->deltas));
-      }
-
-      pending.push_back(std::move(p));
-      ++summary.requests;
-      while (pending.size() > window) {
-        emit(pending.front());
-        pending.pop_front();
+    while (in) {
+      const std::span<char> block = buffer.writable(kReadChunk);
+      in.read(block.data(), static_cast<std::streamsize>(block.size()));
+      buffer.commit(static_cast<std::size_t>(in.gcount()));
+      while (const std::optional<std::string_view> line = buffer.next_line()) {
+        handle(parser.feed(*line));
       }
     }
+    if (const std::optional<std::string_view> rest = buffer.take_rest()) {
+      handle(parser.feed(*rest));
+    }
+    handle(parser.finish());
   } catch (const CheckError& e) {
     summary.stream_error = true;
     summary.stream_error_message = e.what();

@@ -1,12 +1,14 @@
 // The batch-serving loop: request stream in, ordered result records out.
 //
-// StreamServer ties the serving pieces together: a RequestStreamReader
-// parses mixed tree / scenario-delta records, a TopologyCache keeps the hot
-// topologies resident, and a SolveDispatcher fans the solves out across the
-// thread pool behind a bounded work queue.  One `result ...` line is
-// emitted per request, *in request order* (a bounded reorder window of
-// pending futures, sized by the dispatcher's queue capacity, never lets
-// the reader outrun the solvers by more than the queue bound).
+// StreamServer ties the serving pieces together: the wire framing of the
+// TCP front-end (serve/wire.h's LineBuffer + RecordParser) parses tree /
+// scenario-delta records from an istream, bind_request() resolves each
+// against a TopologyCache that keeps the hot topologies resident, and a
+// SolveDispatcher fans the solves out across the thread pool behind a
+// bounded work queue.  One `result ...` line is emitted per request, *in
+// request order* (a bounded reorder window of pending futures, sized by
+// the dispatcher's queue capacity, never lets the reader outrun the
+// solvers by more than the queue bound).
 //
 // Determinism guarantee: each request is solved by the same deterministic
 // solver an offline `treeplace solve` run would use, so the emitted
@@ -26,6 +28,7 @@
 #include "model/modes.h"
 #include "serve/dispatcher.h"
 #include "serve/topology_cache.h"
+#include "serve/wire.h"
 
 namespace treeplace::serve {
 
@@ -64,7 +67,8 @@ struct StreamServerSummary {
   std::uint64_t infeasible = 0;
   std::uint64_t errors = 0;      ///< bad topology key, rejection, solver throw
   std::uint64_t over_budget = 0;  ///< solved but cost_budget missed
-  /// The input stream ended mid-record or was malformed.  In-flight
+  /// The input stream was malformed (RecordParser or LineBuffer threw; a
+  /// record cut off at a line boundary is complete).  In-flight
   /// results are still emitted and the summary block still printed; the
   /// CLI turns this into a nonzero exit.
   bool stream_error = false;
@@ -75,13 +79,34 @@ struct StreamServerSummary {
   TopologyCacheStats cache;
 };
 
+/// A request bound to its solve: the instance and warm session to
+/// dispatch, or the error record the request resolved to.
+struct BoundRequest {
+  std::optional<Instance> instance;  ///< unset: emit `error` instead
+  std::shared_ptr<SolveSession> session;
+  ServeResult error;
+};
+
+/// Resolves a tree or scenario record against `cache` under `key` — the
+/// one binding both servers use.  A tree record (re)registers its
+/// topology (TopologyCache::put) and solves its base scenario through the
+/// fresh session.  A scenario record forks the cached base scenario and
+/// applies its deltas in order; an unknown key or a delta the scenario
+/// rejects becomes an error.  The instance carries `config`'s modes, costs
+/// and budget, projected to single-mode when project_original_modes is
+/// set.  `request.tree` is consumed; `request.deltas` is left for the
+/// dispatcher's warm-start hint.
+BoundRequest bind_request(ServeRequest& request, const CacheKey& key,
+                          TopologyCache& cache,
+                          const StreamServerConfig& config);
+
 class StreamServer {
  public:
   explicit StreamServer(StreamServerConfig config);
 
   /// Serves every record of `in`, writing one result line per request to
   /// `out` in request order followed by a `#`-prefixed summary block.
-  /// A malformed stream (unparsable record, input ending mid-record) stops
+  /// A malformed stream (an unparsable line, an oversized line) stops
   /// reading but still flushes every in-flight result and the summary —
   /// the failure is reported via StreamServerSummary::stream_error.  Bad
   /// topology references and per-solve failures become error records.

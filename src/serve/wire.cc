@@ -1,11 +1,13 @@
 #include "serve/wire.h"
 
-#include <charconv>
 #include <cmath>
 #include <cstring>
+#include <exception>
 #include <sstream>
+#include <utility>
 
 #include "support/check.h"
+#include "support/line_cursor.h"
 #include "tree/io.h"
 
 namespace treeplace::serve {
@@ -84,44 +86,51 @@ void OutputBuffer::consume(std::size_t n) {
 }
 
 // ---------------------------------------------------------------------------
+// Requests
+
+bool is_hello_line(std::string_view line) {
+  constexpr std::string_view kHello = "treeplace-hello";
+  if (!line.starts_with(kHello)) return false;
+  // Token-exact: "treeplace-helloX" is an unknown record, not a hello.
+  return line.size() == kHello.size() || line[kHello.size()] == ' ' ||
+         line[kHello.size()] == '\t';
+}
+
+HelloInfo parse_hello_line(std::string_view line) {
+  LineCursor c(line);
+  const std::string_view kind = c.next_token();
+  HelloInfo hello;
+  hello.version = c.next_token();
+  TREEPLACE_CHECK_MSG(kind == "treeplace-hello" && hello.version == "v1",
+                      "unsupported hello record: '" << line << "'");
+  for (std::string_view token = c.next_token(); !token.empty();
+       token = c.next_token()) {
+    if (token.starts_with("name=")) {
+      TREEPLACE_CHECK_MSG(hello.name.empty(),
+                          "duplicate name= in hello: '" << line << "'");
+      hello.name = token.substr(5);
+      TREEPLACE_CHECK_MSG(!hello.name.empty(),
+                          "empty name= in hello: '" << line << "'");
+    } else {
+      hello.features.emplace_back(token);  // unknown features are fine
+    }
+  }
+  return hello;
+}
+
+std::string_view hello_reply() { return "# hello: treeplace v1\n"; }
+
+// ---------------------------------------------------------------------------
 // RecordParser
 
 namespace {
 
-/// Cursor-based tokenizer matching istringstream extraction: skip blanks,
-/// parse signed/unsigned integers in place, no allocation.
-struct Cursor {
-  const char* p;
-  const char* end;
-
-  void skip_ws() {
-    while (p < end && (*p == ' ' || *p == '\t')) ++p;
-  }
-  bool at_end() {
-    skip_ws();
-    return p == end;
-  }
-
-  template <typename T>
-  bool parse_int(T& out) {
-    skip_ws();
-    const char* start = p;
-    if (start < end && *start == '+') ++start;  // istreams accept a leading +
-    const auto [next, ec] = std::from_chars(start, end, out);
-    if (ec != std::errc{}) return false;
-    p = next;
-    return true;
-  }
-};
-
-/// Parses one delta line with the exact acceptance rules of
-/// request_stream.cc's parse_delta_line (tag = first non-blank char, ints
-/// follow, no trailing garbage).
+/// Parses one delta line ("R 3 5", "E 2 1", "X 2", "Z"): the tag is the
+/// first non-blank character, its numbers follow, nothing may trail.
 ScenarioDelta parse_delta(std::string_view line) {
-  Cursor c{line.data(), line.data() + line.size()};
-  c.skip_ws();
-  TREEPLACE_CHECK_MSG(c.p < c.end, "malformed delta line: '" << line << "'");
-  const char tag = *c.p++;
+  LineCursor c(line);
+  const char tag = c.next_char();
+  TREEPLACE_CHECK_MSG(tag != '\0', "malformed delta line: '" << line << "'");
   ScenarioDelta delta;
   switch (tag) {
     case 'R':
@@ -156,55 +165,6 @@ ScenarioDelta parse_delta(std::string_view line) {
   return delta;
 }
 
-/// Parses one tree node line with io.cc's parse_node_line semantics
-/// (consecutive ids enforced; trailing tokens tolerated, as there).
-void parse_node(TreeBuilder& builder, std::string_view line,
-                NodeId expected_id) {
-  Cursor c{line.data(), line.data() + line.size()};
-  c.skip_ws();
-  TREEPLACE_CHECK_MSG(c.p < c.end, "malformed tree line: '" << line << "'");
-  const char tag = *c.p++;
-  NodeId id = kNoNode;
-  NodeId parent = kNoNode;
-  TREEPLACE_CHECK_MSG(c.parse_int(id) && c.parse_int(parent),
-                      "malformed tree line: '" << line << "'");
-  TREEPLACE_CHECK_MSG(id == expected_id,
-                      "node ids must be consecutive; expected "
-                          << expected_id << ", got " << id);
-  if (tag == 'I') {
-    int pre = 0;
-    int orig_mode = -1;
-    TREEPLACE_CHECK_MSG(c.parse_int(pre) && c.parse_int(orig_mode),
-                        "malformed internal line: '" << line << "'");
-    const NodeId got =
-        (parent == kNoNode) ? builder.add_root() : builder.add_internal(parent);
-    TREEPLACE_CHECK(got == id);
-    if (pre != 0) builder.set_pre_existing(id, orig_mode < 0 ? 0 : orig_mode);
-  } else if (tag == 'C') {
-    RequestCount requests = 0;
-    TREEPLACE_CHECK_MSG(c.parse_int(requests),
-                        "malformed client line: '" << line << "'");
-    const NodeId got = builder.add_client(parent, requests);
-    TREEPLACE_CHECK(got == id);
-  } else {
-    TREEPLACE_CHECK_MSG(false, "unknown node tag '" << tag << "'");
-  }
-}
-
-bool is_record_header(std::string_view line) {
-  return line.rfind("treeplace-", 0) == 0;
-}
-
-std::string_view next_token(std::string_view& rest) {
-  std::size_t i = 0;
-  while (i < rest.size() && (rest[i] == ' ' || rest[i] == '\t')) ++i;
-  std::size_t j = i;
-  while (j < rest.size() && rest[j] != ' ' && rest[j] != '\t') ++j;
-  const std::string_view token = rest.substr(i, j - i);
-  rest = rest.substr(j);
-  return token;
-}
-
 }  // namespace
 
 ServeRequest RecordParser::complete() {
@@ -221,46 +181,56 @@ ServeRequest RecordParser::complete() {
   return done;
 }
 
-std::optional<ServeRequest> RecordParser::feed(std::string_view line) {
-  if (line.empty() || line[0] == '#') return std::nullopt;
-
+std::optional<ServeRequest> RecordParser::begin_record(std::string_view line) {
   if (is_hello_line(line)) {
     // The handshake is a single header line with no body, valid only as
-    // the very first record — which also means there is never an
-    // in-progress record to complete, so it can be returned immediately
-    // (a client waiting on the hello reply must not deadlock until its
-    // next record arrives).
-    TREEPLACE_CHECK_MSG(
-        state_ == State::kIdle && requests_ == 0 && trees_ == 0 &&
-            !hello_seen_,
-        "hello must be the first record of the stream");
+    // the very first record, so it is returned at once (a client waiting
+    // on the hello reply must not deadlock until its next record arrives).
+    TREEPLACE_CHECK_MSG(requests_ == 0 && !hello_seen_,
+                        "hello must be the first record of the stream");
     hello_seen_ = true;
     ServeRequest request;  // id stays 0: hello consumes no ordinal
     request.hello = parse_hello_line(line);
     return request;
   }
+  if (line == TreeStreamReader::tree_header()) {
+    state_ = State::kTree;
+    next_node_id_ = 0;
+    return std::nullopt;
+  }
+  // Token-exact matching: "v12" is an unknown record, not v1 with a
+  // mangled key.
+  LineCursor c(line);
+  const std::string_view kind = c.next_token();
+  const std::string_view version = c.next_token();
+  TREEPLACE_CHECK_MSG(kind == "treeplace-scenario" && version == "v1",
+                      "unknown record header: '" << line << "'");
+  const std::string_view key = c.next_token();
+  TREEPLACE_CHECK_MSG(!key.empty(), "scenario record without a topology key: '"
+                                        << line << "'");
+  state_ = State::kScenario;
+  current_.topology_key.assign(key);
+  return std::nullopt;
+}
+
+void RecordParser::rethrow_deferred() {
+  if (deferred_) std::rethrow_exception(std::exchange(deferred_, nullptr));
+}
+
+std::optional<ServeRequest> RecordParser::feed(std::string_view line) {
+  rethrow_deferred();
+  if (line.empty() || line[0] == '#') return std::nullopt;
 
   if (is_record_header(line)) {
+    // A header ends the record in progress, and that record is complete
+    // even when the header itself is malformed.
     std::optional<ServeRequest> completed;
     if (state_ != State::kIdle) completed = complete();
-
-    if (line == TreeStreamReader::tree_header()) {
-      state_ = State::kTree;
-      next_node_id_ = 0;
-    } else {
-      // Token-exact matching, as in RequestStreamReader: "v12" is an
-      // unknown record, not v1 with a mangled key.
-      std::string_view rest = line;
-      const std::string_view kind = next_token(rest);
-      const std::string_view version = next_token(rest);
-      TREEPLACE_CHECK_MSG(kind == "treeplace-scenario" && version == "v1",
-                          "unknown record header: '" << line << "'");
-      const std::string_view key = next_token(rest);
-      TREEPLACE_CHECK_MSG(!key.empty(),
-                          "scenario record without a topology key: '"
-                              << line << "'");
-      state_ = State::kScenario;
-      current_.topology_key.assign(key);
+    try {
+      if (std::optional<ServeRequest> hello = begin_record(line)) return hello;
+    } catch (const CheckError&) {
+      if (!completed) throw;
+      deferred_ = std::current_exception();
     }
     return completed;
   }
@@ -270,7 +240,7 @@ std::optional<ServeRequest> RecordParser::feed(std::string_view line) {
       TREEPLACE_CHECK_MSG(false, "bad record header: '" << line << "'");
       break;
     case State::kTree:
-      parse_node(builder_, line, next_node_id_);
+      parse_node_line(builder_, line, next_node_id_);
       ++next_node_id_;
       break;
     case State::kScenario:
@@ -281,6 +251,7 @@ std::optional<ServeRequest> RecordParser::feed(std::string_view line) {
 }
 
 std::optional<ServeRequest> RecordParser::finish() {
+  rethrow_deferred();
   if (state_ == State::kIdle) return std::nullopt;
   return complete();
 }
@@ -343,12 +314,11 @@ std::string strip_timings(const std::string& results) {
   std::string out;
   std::string line;
   while (std::getline(is, line)) {
-    std::string_view rest = line;
+    LineCursor c(line);
     bool first = true;
-    while (!rest.empty()) {
-      const std::string_view token = next_token(rest);
-      if (token.empty()) break;
-      if (token.rfind("queue_s=", 0) == 0 || token.rfind("solve_s=", 0) == 0) {
+    for (std::string_view token = c.next_token(); !token.empty();
+         token = c.next_token()) {
+      if (token.starts_with("queue_s=") || token.starts_with("solve_s=")) {
         continue;
       }
       if (!first) out += ' ';

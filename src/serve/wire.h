@@ -1,52 +1,127 @@
-// Zero-copy wire framing for the network serving front-end.
+// The serve request stream and its wire framing, shared by the stream
+// server (serve/stream_server.h) and the TCP front-end
+// (serve/net_server.h).
 //
-// The TCP server (serve/net_server.h) speaks the exact line-record protocol
-// of the stream server — `treeplace-*` records in, `result ...` lines out —
-// but over thousands of non-blocking sockets, so parsing must be
-// *incremental*: bytes arrive in arbitrary fragments and no reader thread
-// can block on an istream.  This header owns the three framing pieces:
+// A serve stream is a concatenation of two record kinds; any line that
+// starts with "treeplace-" is a record header and ends the record before
+// it:
 //
-//   * LineBuffer — an append-only byte window sockets read() straight into
-//     (writable()/commit()); next_line() yields complete lines as
+//   treeplace-tree v1            the format of tree/io.h.  Registers the
+//   I 0 -1 0 -1                  tree's topology in the serving cache under
+//   C 1 0 5                      its ordinal key ("1" for the first tree in
+//   ...                          the stream, "2" for the second, ...) and
+//                                requests a solve of its base scenario.
+//
+//   treeplace-scenario v1 <key>  a scenario-delta request against the
+//   R <client-id> <requests>     cached topology <key>: fork its base
+//   E <node-id> [<orig-mode>]    scenario, apply the delta lines in order,
+//   X <node-id>                  solve the result.  R sets one client's
+//   Z                            request volume, E marks a pre-existing
+//                                server (default original mode 0), X clears
+//                                one, Z clears the whole pre-existing set.
+//
+// A third, optional record opens the stream — the version/feature
+// handshake:
+//
+//   treeplace-hello v1 [name=<token>] [feature ...]
+//
+// A single header line with no body, valid only as the very first record.
+// The server replies with the `# hello: treeplace v1` comment line before
+// any result.  `name=` gives the client a stable identity: the TCP
+// front-end namespaces its topology keys by the name's hash instead of
+// the connection uid, which is what makes its warm sessions routable
+// (shard affinity) and persistent (saved at drain, restored when the name
+// reconnects and re-publishes its trees).  Remaining tokens are feature
+// flags, accepted and ignored if unknown.
+//
+// Blank lines and `#` comments are skipped anywhere.  Numbers follow
+// support/line_cursor.h: a negative count or id where none is allowed is
+// malformed.  Parsing stops at syntax; resolving keys against the cache
+// and building instances is the servers' job (bind_request in
+// serve/stream_server.h), so bad references surface as per-request error
+// records rather than parser throws.
+//
+// Bytes arrive in arbitrary fragments (a socket) or in blocks (an istream),
+// so parsing is incremental.  This header owns the framing pieces:
+//
+//   * LineBuffer — an append-only byte window that read() writes straight
+//     into (writable()/commit()); next_line() yields complete lines as
 //     string_views over the buffer, no copy, trailing CR stripped (CRLF
 //     clients are accepted everywhere), with an oversized-line guard so a
 //     hostile peer cannot balloon memory with an unterminated line.
-//   * RecordParser — the incremental twin of serve/request_stream.h's
-//     RequestStreamReader: fed one line at a time it assembles the same
-//     ServeRequests with the same ordinal topology keys and the same
-//     CheckErrors on malformed input.  A record is completed by the next
-//     record header or by end-of-input (finish()), exactly as in stream
-//     mode; number parsing runs on std::from_chars so the per-line hot
-//     path performs no stream or string allocation.
+//   * RecordParser — the only parser of serve records: fed one line at a
+//     time it assembles ServeRequests with ordinal topology keys, throwing
+//     CheckError on malformed input.  A record is completed by the next
+//     record header or by end-of-input (finish()); numbers parse with
+//     std::from_chars, so the per-line hot path performs no stream or
+//     string allocation.
 //   * OutputBuffer — pending result bytes per connection, consumed as the
 //     socket accepts writes.
 //
-// Rendering also lives here: render_result() produces the byte-identical
-// `result ...` line the StreamServer emits (both servers call it), which is
-// what makes `bench/connection_churn`'s bit-identity gate possible.  The
-// only per-run bytes are the queue_s=/solve_s= timing fields;
-// strip_timings() removes them for comparisons.
+// Rendering also lives here: render_result() produces the `result ...`
+// line both servers emit, which is what makes the stream-versus-TCP
+// bit-identity gates possible.  The only per-run bytes are the
+// queue_s=/solve_s= timing fields; strip_timings() removes them for
+// comparisons.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "serve/dispatcher.h"
-#include "serve/request_stream.h"
+#include "tree/scenario_delta.h"
+#include "tree/tree.h"
 
 namespace treeplace::serve {
 
 // ---------------------------------------------------------------------------
+// Requests
+
+/// The parsed `treeplace-hello v1 ...` handshake record.
+struct HelloInfo {
+  std::string version;                 ///< the "v1" token
+  std::string name;                    ///< from name=<token>; empty = anon
+  std::vector<std::string> features;   ///< remaining tokens, order kept
+};
+
+/// One request from the stream: a solve (full tree, or deltas against a
+/// previously registered topology) or — only as the first record — the
+/// hello handshake.  Hello requests carry id 0 and do not consume a
+/// request ordinal, so solve ids match a stream without the handshake.
+struct ServeRequest {
+  std::size_t id = 0;        ///< 1-based request ordinal in the stream
+  std::string topology_key;  ///< ordinal key ("1", "2", ...) or reference
+  std::optional<Tree> tree;  ///< set for tree records
+  std::vector<ScenarioDelta> deltas;  ///< set for scenario records
+  std::optional<HelloInfo> hello;     ///< set for the handshake record
+};
+
+/// True when `line` is a hello record header (first token matches).
+bool is_hello_line(std::string_view line);
+
+/// Parses a hello header line; throws CheckError on a bad version or a
+/// malformed name token.  Callers enforce the first-record placement.
+HelloInfo parse_hello_line(std::string_view line);
+
+/// The comment line every server writes in response to a hello record,
+/// identical in stream and net mode (it is a `#` line, so it never
+/// perturbs result parsing or bit-identity comparisons).
+std::string_view hello_reply();
+
+// ---------------------------------------------------------------------------
 // LineBuffer
 
-/// Incremental line framing over bytes read from a socket.  The buffer
-/// compacts itself: consumed bytes are dropped the next time write space is
-/// requested, so steady-state serving reuses one allocation per connection.
+/// Incremental line framing over bytes read from a socket or an istream.
+/// The buffer compacts itself: consumed bytes are dropped the next time
+/// write space is requested, so steady-state serving reuses one allocation
+/// per connection.
 class LineBuffer {
  public:
   static constexpr std::size_t kDefaultMaxLineBytes = 1 << 20;
@@ -66,8 +141,7 @@ class LineBuffer {
   std::optional<std::string_view> next_line();
 
   /// Consumes and returns the trailing unterminated bytes, if any — the
-  /// final "line" of a peer that half-closed without a trailing newline
-  /// (parity with stream mode, where getline returns it at EOF).
+  /// final "line" of input that ended without a trailing newline.
   std::optional<std::string_view> take_rest();
 
   /// Unconsumed bytes currently buffered (complete and partial lines).
@@ -109,33 +183,30 @@ class OutputBuffer {
 // RecordParser
 
 /// Incremental record assembly: feed complete lines, collect ServeRequests.
-/// Semantics mirror RequestStreamReader line for line — ordinal tree keys,
-/// optional E-delta modes, token-exact header matching, CheckError on
-/// malformed input (a per-connection protocol error on the wire).
+/// Tree keys are ordinals, an E delta's mode is optional, header matching
+/// is token-exact, and malformed input throws CheckError (a stream error
+/// for StreamServer, a per-connection protocol error on the wire).
 class RecordParser {
  public:
   /// Feeds one framed line (no terminator).  Returns the record this line
-  /// *completed* — i.e. when `line` is the header starting the next record.
-  /// Blank and comment lines are skipped anywhere, as in stream mode.
+  /// *completed* — i.e. when `line` is the header starting the next record
+  /// — or the hello record it is.  Blank and comment lines are skipped.
+  /// A malformed header still completes the record before it: that record
+  /// is returned and the header's CheckError is thrown by the next call.
   std::optional<ServeRequest> feed(std::string_view line);
 
-  /// End of input: completes the in-progress record, if any.  The wire
-  /// contract matches the stream reader's: a client that half-closes its
-  /// write side terminates its final record.
+  /// End of input: completes the in-progress record, if any.  A client
+  /// that half-closes its write side thereby terminates its final record.
   std::optional<ServeRequest> finish();
-
-  /// True while a record is being assembled (EOF here is mid-record only
-  /// if the line itself was also truncated; line-aligned EOF ends the
-  /// record, exactly as in stream mode).
-  bool in_record() const { return state_ != State::kIdle; }
-
-  std::size_t requests_read() const { return requests_; }
-  std::size_t trees_read() const { return trees_; }
 
  private:
   enum class State { kIdle, kTree, kScenario };
 
   ServeRequest complete();
+  /// Parses a record header and enters its state; returns the handshake
+  /// request for a hello line.
+  std::optional<ServeRequest> begin_record(std::string_view line);
+  void rethrow_deferred();
 
   State state_ = State::kIdle;
   TreeBuilder builder_;
@@ -144,6 +215,7 @@ class RecordParser {
   std::size_t requests_ = 0;
   std::size_t trees_ = 0;
   bool hello_seen_ = false;
+  std::exception_ptr deferred_;  ///< a bad header's error, thrown next call
 };
 
 // ---------------------------------------------------------------------------
@@ -164,8 +236,7 @@ struct RenderedResult {
   double solve_seconds = 0.0;
 };
 
-/// Renders one result record byte-identically to the stream server's
-/// historical format (it now calls this too).
+/// Renders one result record; both servers emit exactly these bytes.
 RenderedResult render_result(std::size_t id, const std::string& topo_key,
                              const ServeResult& result,
                              const ResultFormat& format);

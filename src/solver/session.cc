@@ -117,6 +117,18 @@ SolveSession::Stats SolveSession::stats() const {
   return stats;
 }
 
+void SolveSession::wait_turn(std::uint64_t ticket) {
+  for (std::uint64_t serving = now_serving_.load(); serving != ticket;
+       serving = now_serving_.load()) {
+    now_serving_.wait(serving);
+  }
+}
+
+void SolveSession::end_turn() {
+  ++now_serving_;
+  now_serving_.notify_all();
+}
+
 void SolveSession::record_warm(std::uint64_t nodes_recomputed,
                                std::uint64_t nodes_reused,
                                std::uint64_t merge_steps,

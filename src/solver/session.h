@@ -15,7 +15,8 @@
 //     (SubtreeCache::attach wipes on a topology change), so a misused
 //     session degrades to cold solves, never to wrong results.
 //   * Warm solves sharing a session must be serialized: hold solve_mutex()
-//     across each Solver::solve_incremental call (SolveDispatcher does).
+//     across each Solver::solve_incremental call (SolveDispatcher does, and
+//     also runs them in submit order through take_ticket()/wait_turn()).
 //     The stats counters are atomics and may be read concurrently.
 //   * Results are bit-identical to cold solves by construction; only the
 //     work counters (merge pairs, table cells) shrink.
@@ -104,6 +105,18 @@ class SolveSession {
   /// Serializes warm solves: hold across a solve_incremental() call that
   /// was handed this session.
   std::mutex& solve_mutex() { return solve_mutex_; }
+
+  /// Submit-order turns for warm solves.  Work counters depend on which
+  /// state a warm solve starts from, so solves sharing a session must run
+  /// in the order they were submitted, not in the order pool workers win
+  /// solve_mutex().  The submitter takes a ticket when it queues a solve;
+  /// the worker calls wait_turn() before locking solve_mutex() and
+  /// end_turn() when the solve is over, whatever its outcome.  A FIFO
+  /// queue hands a ticket's predecessor to a worker first, so the wait
+  /// always ends.
+  std::uint64_t take_ticket() { return next_ticket_++; }
+  void wait_turn(std::uint64_t ticket);
+  void end_turn();
 
   /// The per-engine caches, created on first use.  The key is the solver's
   /// registry name, so "power-exact" and "power-sym" never share tables
@@ -200,6 +213,8 @@ class SolveSession {
   std::shared_ptr<const Topology> topology_;
   Options options_;
   std::mutex solve_mutex_;
+  std::atomic<std::uint64_t> next_ticket_{0};
+  std::atomic<std::uint64_t> now_serving_{0};
   // Guards the cache maps only; cache contents are protected by
   // solve_mutex_ (held across the whole solve).
   std::mutex caches_mutex_;

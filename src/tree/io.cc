@@ -4,6 +4,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "support/line_cursor.h"
+
 namespace treeplace {
 
 namespace {
@@ -25,42 +27,46 @@ void sanitize_line(std::string& line) {
   if (!line.empty() && line.back() == '\r') line.pop_back();
 }
 
-/// Parses one `I ...` / `C ...` node line into `builder`, enforcing
-/// consecutive ids.
-void parse_node_line(TreeBuilder& builder, const std::string& line,
+bool is_skipped(const std::string& line) {
+  return line.empty() || line[0] == '#';
+}
+
+}  // namespace
+
+bool is_record_header(std::string_view line) {
+  return line.starts_with("treeplace-");
+}
+
+void parse_node_line(TreeBuilder& builder, std::string_view line,
                      NodeId expected_id) {
-  std::istringstream ls(line);
-  char tag = 0;
+  LineCursor c(line);
+  const char tag = c.next_char();
   NodeId id = kNoNode;
   NodeId parent = kNoNode;
-  ls >> tag >> id >> parent;
-  TREEPLACE_CHECK_MSG(!ls.fail(), "malformed tree line: '" << line << "'");
+  TREEPLACE_CHECK_MSG(c.parse_int(id) && c.parse_int(parent),
+                      "malformed tree line: '" << line << "'");
   TREEPLACE_CHECK_MSG(id == expected_id,
                       "node ids must be consecutive; expected "
                           << expected_id << ", got " << id);
   if (tag == 'I') {
     int pre = 0;
     int orig_mode = -1;
-    ls >> pre >> orig_mode;
-    TREEPLACE_CHECK_MSG(!ls.fail(), "malformed internal line: '" << line
-                                                                 << "'");
+    TREEPLACE_CHECK_MSG(c.parse_int(pre) && c.parse_int(orig_mode),
+                        "malformed internal line: '" << line << "'");
     const NodeId got =
         (parent == kNoNode) ? builder.add_root() : builder.add_internal(parent);
     TREEPLACE_CHECK(got == id);
     if (pre != 0) builder.set_pre_existing(id, orig_mode < 0 ? 0 : orig_mode);
   } else if (tag == 'C') {
     RequestCount requests = 0;
-    ls >> requests;
-    TREEPLACE_CHECK_MSG(!ls.fail(), "malformed client line: '" << line
-                                                               << "'");
+    TREEPLACE_CHECK_MSG(c.parse_int(requests),
+                        "malformed client line: '" << line << "'");
     const NodeId got = builder.add_client(parent, requests);
     TREEPLACE_CHECK(got == id);
   } else {
     TREEPLACE_CHECK_MSG(false, "unknown node tag '" << tag << "'");
   }
 }
-
-}  // namespace
 
 void serialize_tree(const Tree& tree, std::ostream& os) {
   os << kHeader << '\n';
@@ -84,21 +90,12 @@ std::string serialize_tree(const Tree& tree) {
 }
 
 Tree parse_tree(std::istream& is) {
-  std::string header;
-  std::getline(is, header);
-  sanitize_line(header);
-  TREEPLACE_CHECK_MSG(header == kHeader,
-                      "bad tree header: '" << header << "'");
-  TreeBuilder builder;
-  std::string line;
-  NodeId expected_id = 0;
-  while (std::getline(is, line)) {
-    sanitize_line(line);
-    if (line.empty() || line[0] == '#') continue;
-    parse_node_line(builder, line, expected_id);
-    ++expected_id;
-  }
-  return std::move(builder).build();
+  TreeStreamReader reader(is);
+  std::optional<Tree> tree = reader.next();
+  TREEPLACE_CHECK_MSG(tree.has_value(), "bad tree header: empty input");
+  TREEPLACE_CHECK_MSG(!reader.next().has_value(),
+                      "more than one tree in the input");
+  return std::move(*tree);
 }
 
 Tree parse_tree(const std::string& text) {
@@ -117,61 +114,33 @@ bool TreeStreamReader::read_line(std::string& line) {
   return true;
 }
 
-bool TreeStreamReader::is_record_header(const std::string& line) {
-  return line.rfind("treeplace-", 0) == 0;
-}
-
 const char* TreeStreamReader::tree_header() { return kHeader; }
 
-std::optional<std::string> TreeStreamReader::next_header() {
-  // Skip blank and comment lines up to the next header.
+std::optional<Tree> TreeStreamReader::next() {
   std::string line;
-  for (;;) {
+  do {
     if (!read_line(line)) return std::nullopt;
-    if (line.empty() || line[0] == '#') continue;
-    break;
-  }
-  TREEPLACE_CHECK_MSG(is_record_header(line),
-                      "bad record header: '" << line << "'");
-  return line;
-}
+  } while (is_skipped(line));
+  TREEPLACE_CHECK_MSG(line == kHeader, "bad tree header: '" << line << "'");
 
-bool TreeStreamReader::next_body_line(std::string& line) {
-  while (read_line(line)) {
-    if (is_record_header(line)) {
-      // The next record starts here; hand the header back for the next
-      // next_header()/next() call.
-      pending_ = std::move(line);
-      has_pending_ = true;
-      return false;
-    }
-    // Interior blank and comment lines are permitted exactly as in
-    // parse_tree(); only a new header terminates a record.
-    if (line.empty() || line[0] == '#') continue;
-    return true;
-  }
-  return false;
-}
-
-Tree TreeStreamReader::read_tree_body() {
   TreeBuilder builder;
   NodeId expected_id = 0;
-  std::string line;
-  while (next_body_line(line)) {
+  while (read_line(line)) {
+    if (is_record_header(line)) {
+      // The next record starts here; keep its header for the next call.
+      pending_ = std::move(line);
+      has_pending_ = true;
+      break;
+    }
+    // Interior blank and comment lines are skipped; only a new header
+    // terminates a record.
+    if (is_skipped(line)) continue;
     parse_node_line(builder, line, expected_id);
     ++expected_id;
   }
   Tree tree = std::move(builder).build();  // may throw: count only successes
   ++trees_read_;
   return tree;
-}
-
-std::optional<Tree> TreeStreamReader::next() {
-  const std::optional<std::string> header = next_header();
-  if (!header) return std::nullopt;
-  TREEPLACE_CHECK_MSG(*header == kHeader,
-                      "bad tree header: '" << *header << "'");
-  return read_tree_body();
 }
 
 std::string to_dot(const Tree& tree) {

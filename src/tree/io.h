@@ -5,18 +5,19 @@
 //   I <id> <parent|-1> <pre:0|1> <orig_mode|-1>
 //   C <id> <parent> <requests>
 // Ids in the file must match insertion order (0..n-1), which is what
-// serialize() emits; parse() validates this.
+// serialize_tree() emits; parse_node_line() validates this.
 //
 // Several trees may be concatenated in one stream (`cat a.txt b.txt`): each
 // `treeplace-tree v1` header starts a new tree and terminates the previous
-// one (blank and comment lines are skipped anywhere, exactly as in
-// parse()).  TreeStreamReader yields trees one at a time — the
-// batch-serving path of `treeplace solve`.
+// one (blank and comment lines are skipped anywhere).  TreeStreamReader
+// yields trees one at a time — the batch-serving path of `treeplace
+// solve`; parse_tree() reads a stream of exactly one.
 #pragma once
 
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "tree/tree.h"
 
@@ -26,20 +27,27 @@ namespace treeplace {
 void serialize_tree(const Tree& tree, std::ostream& os);
 std::string serialize_tree(const Tree& tree);
 
-/// Parses exactly one tree occupying the whole stream; throws CheckError on
-/// malformed input.
+/// Parses exactly one tree occupying the whole stream (blank and comment
+/// lines aside); throws CheckError on malformed input.
 Tree parse_tree(std::istream& is);
 Tree parse_tree(const std::string& text);
 
-/// Streaming reader over a concatenation of v1 records.  Works on
+/// True for a record header line: any line starting with "treeplace-"
+/// ends the record before it, in tree streams and serve streams alike.
+bool is_record_header(std::string_view line);
+
+/// Parses one `I ...` / `C ...` node line into `builder`; `expected_id`
+/// enforces consecutive ids.  Numbers follow LineCursor's rules
+/// (support/line_cursor.h), so a negative request count is malformed.
+/// Tokens after the last field are ignored.  Throws CheckError on
+/// malformed input.  This is the only parser of node lines: parse_tree(),
+/// TreeStreamReader and the serve record parser (serve/wire.h) all call it.
+void parse_node_line(TreeBuilder& builder, std::string_view line,
+                     NodeId expected_id);
+
+/// Streaming reader over a concatenation of tree records.  Works on
 /// non-seekable streams (pipes, stdin): a header line that terminates one
 /// record is buffered and re-consumed as the start of the next.
-///
-/// Besides plain tree concatenations (next()), the reader splits *mixed*
-/// record streams: any "treeplace-" header line is a record boundary, so
-/// layered formats — the serving loop's scenario-delta records
-/// (serve/request_stream.h) — iterate records with next_header() /
-/// next_body_line() and delegate tree bodies to read_tree_body().
 class TreeStreamReader {
  public:
   explicit TreeStreamReader(std::istream& is) : is_(is) {}
@@ -48,26 +56,8 @@ class TreeStreamReader {
   /// malformed input (including non-tree record headers).
   std::optional<Tree> next();
 
-  /// True for any record header line ("treeplace-<kind> v<n>[ args]").
-  static bool is_record_header(const std::string& line);
-
   /// The tree record header ("treeplace-tree v1").
   static const char* tree_header();
-
-  /// Consumes and returns the next record header line, skipping blank and
-  /// comment lines; nullopt at end of stream.  Throws CheckError when the
-  /// next significant line is not a record header.
-  std::optional<std::string> next_header();
-
-  /// Reads the next body line of the current record into `line`; false at
-  /// the next record header (which stays pending for the following
-  /// next_header()/next() call) or end of stream.  Blank and comment lines
-  /// are skipped.
-  bool next_body_line(std::string& line);
-
-  /// Parses the body of a tree record whose header was just consumed by
-  /// next_header().  Throws CheckError on malformed node lines.
-  Tree read_tree_body();
 
   /// Number of trees successfully returned so far.
   std::size_t trees_read() const { return trees_read_; }

@@ -1,14 +1,13 @@
 // One scenario edit, as a value: the delta vocabulary of the serving
 // stream and of every delta-aware (warm-start) solve.
 //
-// ScenarioDelta started life inside the serve layer's request parser, but
-// the core solvers now consume delta spans too (Solver::solve_incremental),
-// so the type lives with the Scenario it edits; serve/request_stream.h
-// re-exports it under its old name for stream code.  A delta names the
-// *operation*, not its effect: apply_delta() is the one place the four
-// operations are interpreted, shared by the stream server, the experiment
-// drivers and the tests, so everyone agrees on semantics (and on which
-// CheckErrors a malformed delta raises).
+// The serve record parser (serve/wire.h) produces deltas and the core
+// solvers consume delta spans (Solver::solve_incremental), so the type
+// lives with the Scenario it edits.  A delta names the *operation*, not
+// its effect: apply_delta() is the one place the four operations are
+// interpreted, shared by the servers, the experiment drivers and the
+// tests, so everyone agrees on semantics (and on which CheckErrors a
+// malformed delta raises).
 #pragma once
 
 #include "tree/scenario.h"

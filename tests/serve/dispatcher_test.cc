@@ -4,6 +4,7 @@
 
 #include <future>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "gen/preexisting.h"
@@ -149,6 +150,73 @@ TEST_F(DispatcherTest, SolverThrowResolvesWithError) {
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("symmetric"), std::string::npos);
   EXPECT_EQ(dispatcher.stats().per_solver[0].errors, 1u);
+}
+
+/// Pipelines `kRequests` warm solves on one session: request k applies
+/// one more request-count edit on top of request k-1, so every solve's
+/// work counter depends on the state its predecessor left behind.
+/// Returns each solve's work counter and cost, in submit order.
+std::vector<std::pair<std::uint64_t, double>> pipelined_session_run(
+    const Tree& tree, std::size_t threads, bool reserved) {
+  constexpr std::size_t kRequests = 64;
+  DispatcherConfig config;
+  config.algos = {"update-dp"};
+  config.threads = threads;
+  config.queue_capacity = kRequests;  // every request in flight at once
+  SolveDispatcher dispatcher(config);
+
+  const auto topo = tree.topology_ptr();
+  std::vector<NodeId> clients;
+  for (std::size_t i = 0; i < topo->num_nodes(); ++i) {
+    if (topo->is_client(static_cast<NodeId>(i))) {
+      clients.push_back(static_cast<NodeId>(i));
+    }
+  }
+  const auto session = std::make_shared<SolveSession>(topo);
+  Scenario scen = tree.scenario();
+  std::vector<std::promise<ServeResult>> promises(kRequests);
+  std::vector<std::future<ServeResult>> futures;
+  for (std::size_t k = 0; k < kRequests; ++k) {
+    const ScenarioDelta delta = ScenarioDelta::set_requests(
+        clients[(k * 7) % clients.size()], 1 + (k * 5) % 9);
+    apply_delta(scen, delta);
+    Instance instance = Instance::single_mode(topo, scen, /*capacity=*/10,
+                                              /*create=*/0.1,
+                                              /*delete_cost=*/0.01);
+    if (reserved) {
+      EXPECT_TRUE(dispatcher.try_reserve_slot());
+      futures.push_back(promises[k].get_future());
+      dispatcher.submit_reserved(
+          0, std::move(instance), session, {delta},
+          [&promise = promises[k]](ServeResult r) {
+            promise.set_value(std::move(r));
+          });
+    } else {
+      futures.push_back(
+          dispatcher.submit(0, std::move(instance), session, {delta}));
+    }
+  }
+  std::vector<std::pair<std::uint64_t, double>> out;
+  for (auto& future : futures) {
+    const ServeResult result = future.get();
+    EXPECT_TRUE(result.ok) << result.error;
+    EXPECT_TRUE(result.warm);
+    out.emplace_back(result.solution.stats.work,
+                     result.solution.breakdown.cost);
+  }
+  return out;
+}
+
+TEST_F(DispatcherTest, SessionSolvesRunInSubmitOrderAtAnyThreadCount) {
+  // Warm solves on one session must start from their predecessor's state
+  // whatever the pool size: work counters are part of the served bytes.
+  const auto serial = pipelined_session_run(tree_, 1, /*reserved=*/false);
+  for (const std::size_t threads : {4u, 8u}) {
+    for (const bool reserved : {false, true}) {
+      EXPECT_EQ(pipelined_session_run(tree_, threads, reserved), serial)
+          << threads << " threads, reserved=" << reserved;
+    }
+  }
 }
 
 TEST_F(DispatcherTest, SolverThreadsOptionPropagates) {

@@ -1,18 +1,14 @@
-// Wire-framing tests: incremental line framing, the incremental record
-// parser's parity with RequestStreamReader, shared result rendering, and
-// the latency histogram behind the serve summary's p50/p99 lines.
+// Wire-framing tests: incremental line framing, output buffering, shared
+// result rendering, and the latency histogram behind the serve summary's
+// p50/p99 lines.  The record grammar is tested in record_parser_test.cc.
 #include "serve/wire.h"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <sstream>
 #include <string>
-#include <vector>
 
-#include "gen/tree_gen.h"
 #include "support/check.h"
-#include "tree/io.h"
 
 namespace treeplace::serve {
 namespace {
@@ -81,109 +77,6 @@ TEST(LineBufferTest, ReusesStorageAcrossManyLines) {
     ASSERT_TRUE(buf.next_line().has_value());
   }
   EXPECT_EQ(buf.buffered_bytes(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// RecordParser parity with RequestStreamReader
-
-std::string tree_record(std::uint64_t index = 0) {
-  TreeGenConfig config;
-  config.num_internal = 5;
-  return serialize_tree(generate_tree(config, /*seed=*/91, index));
-}
-
-/// Runs a whole stream through the incremental parser, line by line.
-std::vector<ServeRequest> parse_all(const std::string& text) {
-  RecordParser parser;
-  std::vector<ServeRequest> out;
-  std::istringstream is(text);
-  std::string line;
-  while (std::getline(is, line)) {
-    if (auto done = parser.feed(line)) out.push_back(std::move(*done));
-  }
-  if (auto done = parser.finish()) out.push_back(std::move(*done));
-  return out;
-}
-
-/// Runs the same stream through the blocking reader.
-std::vector<ServeRequest> read_all(const std::string& text) {
-  std::istringstream is(text);
-  RequestStreamReader reader(is);
-  std::vector<ServeRequest> out;
-  while (auto request = reader.next()) out.push_back(std::move(*request));
-  return out;
-}
-
-void expect_requests_match(const std::vector<ServeRequest>& a,
-                           const std::vector<ServeRequest>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].id, b[i].id);
-    EXPECT_EQ(a[i].topology_key, b[i].topology_key);
-    ASSERT_EQ(a[i].tree.has_value(), b[i].tree.has_value());
-    if (a[i].tree) {
-      EXPECT_EQ(serialize_tree(*a[i].tree), serialize_tree(*b[i].tree));
-    }
-    ASSERT_EQ(a[i].deltas.size(), b[i].deltas.size());
-    for (std::size_t d = 0; d < a[i].deltas.size(); ++d) {
-      EXPECT_EQ(a[i].deltas[d].op, b[i].deltas[d].op);
-      EXPECT_EQ(a[i].deltas[d].node, b[i].deltas[d].node);
-      EXPECT_EQ(a[i].deltas[d].requests, b[i].deltas[d].requests);
-      EXPECT_EQ(a[i].deltas[d].mode, b[i].deltas[d].mode);
-    }
-  }
-}
-
-TEST(RecordParserTest, MatchesStreamReaderOnMixedStreams) {
-  const std::string stream = tree_record(0) + tree_record(1) +
-                             "\n# comment\n"
-                             "treeplace-scenario v1 1\nR 6 7\nE 2 1\nE 4\n"
-                             "treeplace-scenario v1 2\nX 2\nZ\n";
-  expect_requests_match(parse_all(stream), read_all(stream));
-}
-
-TEST(RecordParserTest, FinalRecordWithoutTrailingNewlineCompletes) {
-  RecordParser parser;
-  EXPECT_FALSE(parser.feed("treeplace-scenario v1 1").has_value());
-  EXPECT_FALSE(parser.feed("R 6 7").has_value());
-  EXPECT_TRUE(parser.in_record());
-  auto last = parser.finish();
-  ASSERT_TRUE(last.has_value());
-  ASSERT_EQ(last->deltas.size(), 1u);
-  EXPECT_EQ(last->deltas[0].requests, 7u);
-  EXPECT_FALSE(parser.in_record());
-}
-
-TEST(RecordParserTest, MalformedLinesThrowLikeTheStreamReader) {
-  const char* bad[] = {
-      "treeplace-scenario v1\nR 3 5\n",    // missing key
-      "treeplace-scenario v1 1\nQ 1\n",    // unknown delta tag
-      "treeplace-scenario v1 1\nR 3\n",    // missing value
-      "treeplace-scenario v1 1\nE 4 x\n",  // unparsable mode
-      "treeplace-scenario v1 1\nR 3 5 junk\n",
-      "treeplace-scenario v12 1\nR 3 5\n",  // token-exact version match
-      "treeplace-frobnicate v1\n",
-      "not a record\n",
-      "treeplace-tree v1\nI zero\n",
-      "treeplace-tree v1\nI 5 -1 0 -1\n",  // non-consecutive ids
-  };
-  for (const char* stream : bad) {
-    EXPECT_THROW(parse_all(stream), CheckError) << stream;
-    EXPECT_THROW(read_all(stream), CheckError) << stream;
-  }
-}
-
-TEST(RecordParserTest, IstreamNumberQuirksMatch) {
-  // istringstream extraction accepts "R3 5" (tag is one char, then the
-  // number) and "+7"; the from_chars-based parser must agree.
-  const std::string stream =
-      tree_record() + "treeplace-scenario v1 1\nR3 +7\n";
-  const auto via_parser = parse_all(stream);
-  const auto via_reader = read_all(stream);
-  expect_requests_match(via_parser, via_reader);
-  ASSERT_EQ(via_parser.back().deltas.size(), 1u);
-  EXPECT_EQ(via_parser.back().deltas[0].node, 3);
-  EXPECT_EQ(via_parser.back().deltas[0].requests, 7u);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 // the library-level twin of `treeplace workload | treeplace serve`.
 //
 // A DiurnalWorkload's delta batches are rendered as `treeplace-scenario`
-// records (the grammar of serve/request_stream.h) and served by a
+// records (the grammar of serve/wire.h) and served by a
 // StreamServer twice: once against the user-level skew tree, once against
 // its Aggregation with each batch folded through map_deltas.  The two
 // streams must agree on every objective value (cost, power, server

@@ -67,6 +67,25 @@ TEST(TreeIoTest, NonConsecutiveIdsThrow) {
   EXPECT_THROW(parse_tree("treeplace-tree v1\nI 5 -1 0 -1\n"), CheckError);
 }
 
+TEST(TreeIoTest, NegativeRequestCountThrows) {
+  // Request counts are unsigned: "-5" is malformed, never 2^64 - 5.
+  EXPECT_THROW(parse_tree("treeplace-tree v1\nI 0 -1 0 -1\nC 1 0 -5\n"),
+               CheckError);
+  std::istringstream is("treeplace-tree v1\nI 0 -1 0 -1\nC 1 0 -5\n");
+  TreeStreamReader reader(is);
+  EXPECT_THROW(reader.next(), CheckError);
+}
+
+TEST(TreeIoTest, ParseNodeLineAcceptsWhatSerializeWrites) {
+  TreeBuilder builder;
+  parse_node_line(builder, "I 0 -1 1 2", 0);
+  parse_node_line(builder, "\tC\t1 0 +4 trailing tokens ignored", 1);
+  EXPECT_THROW(parse_node_line(builder, "C 2 0 99999999999999999999", 2),
+               CheckError);  // out of range, not clamped
+  const Tree tree = std::move(builder).build();
+  EXPECT_EQ(serialize_tree(tree), "treeplace-tree v1\nI 0 -1 1 2\nC 1 0 4\n");
+}
+
 TEST(TreeIoTest, UnknownTagThrows) {
   EXPECT_THROW(parse_tree("treeplace-tree v1\nX 0 -1\n"), CheckError);
 }

@@ -1,10 +1,10 @@
 // treeplace command-line tool — drive the library without writing C++.
 //
 //   treeplace gen --nodes 50 --shape fat --seed 7 > tree.txt
-//   treeplace solve --algo update-dp --capacity 10 --create 0.1 \
+//   treeplace solve --algo update-dp --capacity 10 --create 0.1
 //             --delete 0.01 < tree.txt
-//   treeplace solve --algo power-sym --modes 5,10 --static 12.5 --alpha 3 \
-//             --create 0.1 --delete 0.01 --changed 0.001 [--budget 25] \
+//   treeplace solve --algo power-sym --modes 5,10 --static 12.5 --alpha 3
+//             --create 0.1 --delete 0.01 --changed 0.001 [--budget 25]
 //             < tree.txt
 //   treeplace solve --list-algos
 //   treeplace serve --algo power-sym --modes 5,10 --threads 8 < stream.txt
@@ -15,7 +15,7 @@
 // Every placement algorithm is selected by name through the SolverRegistry
 // (solver/registry.h); `solve --list-algos` enumerates them.  Trees are
 // read/written in the text format of tree/io.h; `serve` additionally
-// accepts scenario-delta records (serve/request_stream.h).
+// accepts scenario-delta records (serve/wire.h).
 //
 // Exit codes: 0 success; 1 infeasible instance or unmet --budget; 2 usage
 // error (including unknown commands and unknown --algo names).
@@ -137,16 +137,13 @@ class Args {
     for (int i = 2; i < argc; ++i) {
       std::string key = argv[i];
       if (key.rfind("--", 0) != 0) usage("unexpected argument '" + key + "'");
-      key = key.substr(2);
+      key.erase(0, 2);
       // "exact" stays a value-less flag so the legacy `solve-power --exact`
       // invocation reaches the migration hint instead of dying in parsing.
-      if (key == "list-algos" || key == "exact" || key == "aggregate" ||
-          key == "contract") {
-        values_[key] = "1";
-      } else {
-        if (i + 1 >= argc) usage("missing value for --" + key);
-        values_[key] = argv[++i];
-      }
+      const bool flag = key == "list-algos" || key == "exact" ||
+                        key == "aggregate" || key == "contract";
+      if (!flag && i + 1 >= argc) usage("missing value for --" + key);
+      values_[key] = flag ? std::string("1") : std::string(argv[++i]);
     }
   }
 
@@ -235,7 +232,7 @@ int cmd_gen(const Args& args) {
 }
 
 /// One scenario delta as a serve-stream record line (the grammar of
-/// serve/request_stream.h — the inverse of its parse_delta_line).
+/// serve/wire.h — the inverse of RecordParser's delta parsing).
 void print_delta_line(std::ostream& os, const ScenarioDelta& d) {
   switch (d.op) {
     case ScenarioDelta::Op::kSetRequests:
