@@ -206,9 +206,9 @@ ContractResult run_config(const ContractConfig& config) {
 
   const Instance primed_instance = make_instance(topology, scenario);
   const Solution primed_c =
-      contracted_solver->solve_incremental(primed_instance, {}, contracted);
+      contracted_solver->solve(SolveRequest{primed_instance, {}, &contracted});
   const Solution primed_p =
-      plain_solver->solve_incremental(primed_instance, {}, plain);
+      plain_solver->solve(SolveRequest{primed_instance, {}, &plain});
   if (!primed_c.feasible || !primed_p.feasible) {
     r.identical = false;
     return r;
@@ -253,11 +253,11 @@ ContractResult run_config(const ContractConfig& config) {
     const Instance instance = make_instance(topology, scenario);
     Stopwatch c_watch;
     const Solution warm_c =
-        contracted_solver->solve_incremental(instance, deltas, contracted);
+        contracted_solver->solve(SolveRequest{instance, deltas, &contracted});
     contracted_ticks.push_back(c_watch.seconds());
     Stopwatch p_watch;
     const Solution warm_p =
-        plain_solver->solve_incremental(instance, deltas, plain);
+        plain_solver->solve(SolveRequest{instance, deltas, &plain});
     plain_ticks.push_back(p_watch.seconds());
     r.warm_work += warm_c.stats.work;
 

@@ -123,8 +123,8 @@ DayResult run_day(const DayConfig& config) {
 
   DayResult r;
   Stopwatch cold_watch;
-  const Solution primed = warm_solver->solve_incremental(
-      make_instance(aggregation.aggregated(), agg_scenario), {}, session);
+  const Solution primed = warm_solver->solve(SolveRequest{
+      make_instance(aggregation.aggregated(), agg_scenario), {}, &session});
   r.cold_seconds = cold_watch.seconds();
   if (!primed.feasible) {
     r.identical = false;
@@ -152,7 +152,7 @@ DayResult run_day(const DayConfig& config) {
         make_instance(aggregation.aggregated(), agg_scenario);
     Stopwatch tick_watch;
     const Solution warm =
-        warm_solver->solve_incremental(instance, mapped, session);
+        warm_solver->solve(SolveRequest{instance, mapped, &session});
     latencies.push_back(tick_watch.seconds());
     r.warm_seconds += latencies.back();
     r.warm_work += warm.stats.work;

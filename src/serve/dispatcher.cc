@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <exception>
+#include <optional>
+#include <string>
 #include <utility>
 
 #include "solver/registry.h"
@@ -13,6 +15,27 @@ namespace {
 
 std::size_t resolve_threads(const DispatcherConfig& config) {
   return config.threads ? config.threads : ThreadPool::default_thread_count();
+}
+
+/// Whether a solve runs warm: with a session, on a solver that reuses it.
+bool runs_warm(const Solver& solver, const SolveSession* session) {
+  return session != nullptr && any(solver.caps() & SolverCaps::kIncremental);
+}
+
+/// The capability rejection of `instance` by `solver`; nullopt when the
+/// solver accepts it.
+std::optional<ServeResult> rejection(const Solver& solver,
+                                     const Instance& instance) {
+  if (solver.info().accepts(instance.num_internal(), instance.modes.count())) {
+    return std::nullopt;
+  }
+  ServeResult result;
+  result.error = "solver '" + solver.name() +
+                 "' does not accept this instance (" +
+                 std::to_string(instance.num_internal()) +
+                 " internal nodes, " +
+                 std::to_string(instance.modes.count()) + " modes)";
+  return result;
 }
 
 }  // namespace
@@ -39,17 +62,10 @@ std::future<ServeResult> SolveDispatcher::submit(
   TREEPLACE_CHECK_MSG(solver_index < solvers_.size(),
                       "solver index " << solver_index << " out of range");
   const Solver& solver = *solvers_[solver_index];
-  if (!solver.info().accepts(instance.num_internal(),
-                             instance.modes.count())) {
+  if (std::optional<ServeResult> rejected = rejection(solver, instance)) {
     // Capability rejection: resolve immediately, never occupy a slot.
-    ServeResult result;
-    result.error = "solver '" + solver.name() +
-                   "' does not accept this instance (" +
-                   std::to_string(instance.num_internal()) +
-                   " internal nodes, " +
-                   std::to_string(instance.modes.count()) + " modes)";
     std::promise<ServeResult> ready;
-    ready.set_value(std::move(result));
+    ready.set_value(std::move(*rejected));
     std::scoped_lock lock(mutex_);
     ++stats_.submitted;
     ++stats_.completed;
@@ -74,9 +90,7 @@ std::future<ServeResult> SolveDispatcher::submit(
 
 std::uint64_t SolveDispatcher::take_ticket(const Solver& solver,
                                            SolveSession* session) {
-  return session != nullptr && solver.supports_incremental()
-             ? session->take_ticket()
-             : 0;
+  return runs_warm(solver, session) ? session->take_ticket() : 0;
 }
 
 bool SolveDispatcher::try_reserve_slot() {
@@ -103,14 +117,7 @@ void SolveDispatcher::submit_reserved(std::size_t solver_index,
   TREEPLACE_CHECK_MSG(solver_index < solvers_.size(),
                       "solver index " << solver_index << " out of range");
   const Solver& solver = *solvers_[solver_index];
-  if (!solver.info().accepts(instance.num_internal(),
-                             instance.modes.count())) {
-    ServeResult result;
-    result.error = "solver '" + solver.name() +
-                   "' does not accept this instance (" +
-                   std::to_string(instance.num_internal()) +
-                   " internal nodes, " +
-                   std::to_string(instance.modes.count()) + " modes)";
+  if (std::optional<ServeResult> rejected = rejection(solver, instance)) {
     {
       // Release the reserved slot first, so a retry from inside `done`
       // can reserve again.
@@ -120,7 +127,7 @@ void SolveDispatcher::submit_reserved(std::size_t solver_index,
       --in_flight_;
       slot_freed_.notify_one();
     }
-    done(std::move(result));
+    done(std::move(*rejected));
     return;
   }
 
@@ -146,7 +153,7 @@ ServeResult SolveDispatcher::run_solve(
   const Solver& solver = *solvers_[solver_index];
   Stopwatch watch;
   try {
-    if (session != nullptr && solver.supports_incremental()) {
+    if (runs_warm(solver, session)) {
       // Warm solves over one session run one at a time in submit order;
       // sessions are per topology, so only same-topology requests wait.
       session->wait_turn(ticket);

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -72,65 +73,6 @@ Solution finish_frontier(const Instance& in, bool feasible,
   s.breakdown = pick->breakdown;
   s.power = pick->power;
   return s;
-}
-
-// --- Frozen-subtree contraction plumbing -----------------------------------
-
-/// Per-mode pre-existing totals over the *original* scenario: the exact
-/// power DP's root scan prices deletions against the whole tree's E, which
-/// a contracted scenario under-counts (same range CHECK as the engine's
-/// own uncontracted scan).
-std::vector<int> power_pre_totals(const Scenario& scen, int m) {
-  std::vector<int> totals(static_cast<std::size_t>(m), 0);
-  for (NodeId e : scen.pre_existing_nodes()) {
-    const int o = scen.original_mode(e);
-    TREEPLACE_CHECK_MSG(o >= 0 && o < m,
-                        "pre-existing node " << e << " has original mode "
-                                             << o << " outside the ModeSet");
-    ++totals[static_cast<std::size_t>(o)];
-  }
-  return totals;
-}
-
-/// Re-prices a contracted run's frontier on the original instance.  These
-/// are the exact per-point evaluator calls the uncontracted engine makes
-/// in build_frontier, so the reported doubles land bit-identical.
-void reprice_frontier(const Instance& in, PowerDPResult& r) {
-  for (PowerParetoPoint& point : r.frontier) {
-    point.breakdown = evaluate_cost(in.topo(), in.scen(), point.placement,
-                                    in.costs);
-    point.cost = point.breakdown.cost;
-    point.power = total_power(point.placement, in.modes);
-  }
-}
-
-/// Runs a power engine over the contracted twin of `in` and restores the
-/// original-instance view of the result: frontier re-priced, frozen
-/// interiors counted as reused (the twin would have spliced each one).
-template <typename EngineFn>
-PowerDPResult run_contracted_power(
-    const Instance& in, dp::PowerSubtreeCache& full,
-    const contracted::Prepared<dp::PowerNodeState>& prep, PowerDPOptions opts,
-    const EngineFn& engine) {
-  dp::MergePlanCache plans;
-  dp::ContractionView view;
-  view.to_original = prep.map->to_original_map();
-  view.sealed = prep.map->sealed();
-  view.planning_internal = in.topo().num_internal();
-  view.pre_total_per_mode = power_pre_totals(in.scen(), in.modes.count());
-  view.num_pre_existing = in.scen().num_pre_existing();
-  view.expand_sealed = [&in, &full, &plans](NodeId root, std::size_t flat,
-                                            Placement& placement) {
-    reconstruct_power_subtree(in.topo(), full, plans, root, flat, placement);
-  };
-  opts.cache = prep.cache;
-  opts.deltas = prep.deltas;
-  opts.contraction = &view;
-  PowerDPResult r =
-      engine(*prep.map->contracted(), prep.scenario, in.modes, in.costs, opts);
-  reprice_frontier(in, r);
-  r.stats.nodes_reused += prep.hidden_internal;
-  return r;
 }
 
 // --- Greedy family ---------------------------------------------------------
@@ -211,12 +153,30 @@ class GreedyReuseSolver : public Solver {
   }
 };
 
-// --- Optimal update DP (Section 3) -----------------------------------------
+// --- Incremental DP engines (Sections 3 and 4) ----------------------------
+//
+// The update DP and both power DPs run cold and warm through one sequence,
+// written once in IncrementalSolver below.  An engine traits type names:
+//   NodeState, Options, Result — the cache state type, the entry point's
+//                                options struct and its result;
+//   info()                     — the registry entry;
+//   options(solver, in)        — the entry point's options for a cold solve;
+//   params(in)                 — the cache params (SubtreeCache::attach);
+//   presolve(in)               — validates the instance and returns the
+//                                scenario the engine sees when it is not
+//                                in.scen();
+//   run(topo, scen, in, opts)  — the entry point;
+//   reconstruct                — the cache-only decision walk that expands
+//                                a sealed leaf of a contracted tree;
+//   counters(r)                — the result's warm-start counters;
+//   finish(in, r, seconds)     — builds the Solution.
 
-class UpdateDpSolver : public Solver {
- public:
-  UpdateDpSolver() : Solver(make_info()) {}
-  static SolverInfo make_info() {
+struct UpdateDpEngine {
+  using NodeState = dp::MinCostNodeState;
+  using Options = MinCostConfig;
+  using Result = MinCostResult;
+
+  static SolverInfo info() {
     SolverInfo info;
     info.name = "update-dp";
     info.summary =
@@ -227,92 +187,73 @@ class UpdateDpSolver : public Solver {
     info.supports_pre_existing = true;
     return info;
   }
-  Solution solve(const Instance& in) const override {
-    return solve_with_cache(in, {}, nullptr);
+  static Options options(const Solver&, const Instance& in) {
+    return {.capacity = in.capacity(),
+            .create = in.costs.create(0),
+            .delete_cost = in.costs.del(0)};
   }
-
-  SolverCaps caps() const override { return SolverCaps::kIncremental; }
-
-  Solution solve(const SolveRequest& request) const override {
-    if (request.session == nullptr) return solve(request.instance);
-    request.session->check_topology(request.instance.topology);
-    return solve_with_cache(request.instance, request.deltas,
-                            request.session);
+  static std::vector<std::uint64_t> params(const Instance& in) {
+    return {static_cast<std::uint64_t>(in.capacity())};
   }
-
- private:
-  Solution solve_with_cache(const Instance& in,
-                            std::span<const ScenarioDelta> deltas,
-                            SolveSession* session) const {
-    Stopwatch timer;
-    MinCostConfig config{in.capacity(), in.costs.create(0), in.costs.del(0)};
-    // The DP plans against the single-mode Eq. 2 model and only reads the
-    // pre-existing flags; on multi-mode instances, collapse the original
-    // modes to 0 for its internal accounting (finish_placement re-prices
-    // the returned placement against the real instance).
-    bool multi_mode_pre = false;
-    for (NodeId id : in.scen().pre_existing_nodes()) {
-      if (in.scen().original_mode(id) != 0) multi_mode_pre = true;
-    }
-    std::optional<Scenario> collapsed;
-    if (multi_mode_pre) {
-      // Forking the scenario is cheap (flat arrays, shared topology).
-      collapsed.emplace(in.scen());
-      for (NodeId id : collapsed->pre_existing_nodes()) {
-        collapsed->set_pre_existing(id, 0);
-      }
-    }
-    const Scenario& scen = multi_mode_pre ? *collapsed : in.scen();
-    MinCostResult r;
-    if (session != nullptr) {
-      dp::MinCostSubtreeCache& full = session->min_cost_cache(name());
-      config.cache = &full;
-      config.deltas = deltas;
-      // Contraction tracks the scenario the DP actually sees — the
-      // collapsed fork on multi-mode instances — so sealed signatures
-      // grade against the same normalized modes the engine commits.
-      contracted::Prepared<dp::MinCostNodeState> prep = contracted::prepare(
-          *session, full, session->min_cost_contraction(name()), scen,
-          {static_cast<std::uint64_t>(config.capacity)}, deltas);
-      if (prep.active) {
-        dp::MergePlanCache plans;
-        dp::ContractionView view;
-        view.to_original = prep.map->to_original_map();
-        view.sealed = prep.map->sealed();
-        view.planning_internal = in.topo().num_internal();
-        view.num_pre_existing = scen.num_pre_existing();
-        view.expand_sealed = [&in, &full, &plans](NodeId root,
-                                                  std::size_t flat,
-                                                  Placement& placement) {
-          reconstruct_min_cost_subtree(in.topo(), full, plans, root, flat,
-                                       placement);
-        };
-        config.cache = prep.cache;
-        config.deltas = prep.deltas;
-        config.contraction = &view;
-        r = solve_min_cost_with_pre(*prep.map->contracted(), prep.scenario,
-                                    config);
-        // The frozen interiors the twin would have spliced and counted.
-        r.nodes_reused += prep.hidden_internal;
-      } else {
-        r = solve_min_cost_with_pre(in.topo(), scen, config);
-      }
-      session->record_warm(r.nodes_recomputed, r.nodes_reused, r.merge_steps,
-                           r.signatures_checked, r.cells_skipped);
-    } else {
-      r = solve_min_cost_with_pre(in.topo(), scen, config);
-    }
+  /// The DP plans against the single-mode Eq. 2 model and only reads the
+  /// pre-existing flags; on multi-mode instances, collapse the original
+  /// modes to 0 for its internal accounting (finish_placement re-prices
+  /// the returned placement against the real instance).  Contraction
+  /// tracks the collapsed fork too, so sealed signatures grade against the
+  /// same normalized modes the engine commits.
+  static std::optional<Scenario> presolve(const Instance& in) {
+    const Scenario& scen = in.scen();
+    const std::vector<NodeId> pre = scen.pre_existing_nodes();
+    const auto moded = [&scen](NodeId id) {
+      return scen.original_mode(id) != 0;
+    };
+    if (std::none_of(pre.begin(), pre.end(), moded)) return std::nullopt;
+    // Forking the scenario is cheap (flat arrays, shared topology).
+    std::optional<Scenario> collapsed(std::in_place, scen);
+    for (NodeId id : pre) collapsed->set_pre_existing(id, 0);
+    return collapsed;
+  }
+  static Result run(const Topology& topo, const Scenario& scen,
+                    const Instance&, const Options& opts) {
+    return solve_min_cost_with_pre(topo, scen, opts);
+  }
+  static constexpr auto reconstruct = &reconstruct_min_cost_subtree;
+  static MinCostResult& counters(MinCostResult& r) { return r; }
+  static Solution finish(const Instance& in, Result r, double seconds) {
     return finish_placement(in, r.feasible, std::move(r.placement),
-                            {timer.seconds(), r.merge_iterations});
+                            {seconds, r.merge_iterations});
   }
 };
 
-// --- Power DPs (Section 4) -------------------------------------------------
+/// What the exact and the symmetric power DP share: the cache layout,
+/// options, sealed-leaf walk and frontier finish.
+struct PowerEngine {
+  using NodeState = dp::PowerNodeState;
+  using Options = PowerDPOptions;
+  using Result = PowerDPResult;
 
-class PowerExactSolver : public Solver {
- public:
-  PowerExactSolver() : Solver(make_info()) {}
-  static SolverInfo make_info() {
+  static Options options(const Solver& solver, const Instance&) {
+    PowerDPOptions opts;
+    opts.threads = static_cast<std::size_t>(solver.options().threads);
+    opts.pool = solver.worker_pool();
+    return opts;
+  }
+  static std::vector<std::uint64_t> params(const Instance& in) {
+    return dp::capacity_params(in.modes);
+  }
+  static std::optional<Scenario> presolve(const Instance&) {
+    return std::nullopt;
+  }
+  static constexpr auto reconstruct = &reconstruct_power_subtree;
+  static PowerSolveStats& counters(PowerDPResult& r) { return r.stats; }
+  static Solution finish(const Instance& in, Result r, double) {
+    return finish_frontier(in, r.feasible, std::move(r.frontier),
+                           {r.stats.solve_seconds, r.stats.merge_pairs});
+  }
+};
+
+struct PowerExactEngine : PowerEngine {
+  static SolverInfo info() {
     SolverInfo info;
     info.name = "power-exact";
     info.summary =
@@ -324,64 +265,14 @@ class PowerExactSolver : public Solver {
     info.supports_pre_existing = true;
     return info;
   }
-  Solution solve(const Instance& in) const override {
-    PowerDPResult r = run_dp(in, dp_options());
-    return finish(in, std::move(r));
-  }
-
-  SolverCaps caps() const override { return SolverCaps::kIncremental; }
-
-  Solution solve(const SolveRequest& request) const override {
-    const Instance& in = request.instance;
-    if (request.session == nullptr) return solve(in);
-    SolveSession& session = *request.session;
-    session.check_topology(in.topology);
-    PowerDPOptions opts = dp_options();
-    dp::PowerSubtreeCache& full = session.power_cache(name());
-    contracted::Prepared<dp::PowerNodeState> prep = contracted::prepare(
-        session, full, session.power_contraction(name()), in.scen(),
-        dp::capacity_params(in.modes), request.deltas);
-    PowerDPResult r;
-    if (prep.active) {
-      r = run_contracted_power(
-          in, full, prep, opts,
-          [](const Topology& topo, const Scenario& scen, const ModeSet& modes,
-             const CostModel& costs, const PowerDPOptions& o) {
-            return solve_power_exact(topo, scen, modes, costs, o);
-          });
-    } else {
-      opts.cache = &full;
-      opts.deltas = request.deltas;
-      r = run_dp(in, opts);
-    }
-    session.record_warm(r.stats.nodes_recomputed, r.stats.nodes_reused,
-                        r.stats.merge_steps, r.stats.signatures_checked,
-                        r.stats.cells_skipped);
-    return finish(in, std::move(r));
-  }
-
- private:
-  PowerDPOptions dp_options() const {
-    PowerDPOptions opts;
-    opts.threads = static_cast<std::size_t>(options().threads);
-    opts.pool = worker_pool();
-    return opts;
-  }
-
-  static PowerDPResult run_dp(const Instance& in, const PowerDPOptions& opts) {
-    return solve_power_exact(in.topo(), in.scen(), in.modes, in.costs, opts);
-  }
-
-  static Solution finish(const Instance& in, PowerDPResult r) {
-    return finish_frontier(in, r.feasible, std::move(r.frontier),
-                           {r.stats.solve_seconds, r.stats.merge_pairs});
+  static Result run(const Topology& topo, const Scenario& scen,
+                    const Instance& in, const Options& opts) {
+    return solve_power_exact(topo, scen, in.modes, in.costs, opts);
   }
 };
 
-class PowerSymmetricSolver : public Solver {
- public:
-  PowerSymmetricSolver() : Solver(make_info()) {}
-  static SolverInfo make_info() {
+struct PowerSymmetricEngine : PowerEngine {
+  static SolverInfo info() {
     SolverInfo info;
     info.name = "power-sym";
     info.summary =
@@ -394,64 +285,132 @@ class PowerSymmetricSolver : public Solver {
     info.supports_pre_existing = true;
     return info;
   }
-  Solution solve(const Instance& in) const override {
-    PowerDPResult r = run_dp(in, dp_options());
-    return finish(in, std::move(r));
-  }
-
-  SolverCaps caps() const override { return SolverCaps::kIncremental; }
-
-  Solution solve(const SolveRequest& request) const override {
-    const Instance& in = request.instance;
-    if (request.session == nullptr) return solve(in);
-    SolveSession& session = *request.session;
-    session.check_topology(in.topology);
-    PowerDPOptions opts = dp_options();
-    dp::PowerSubtreeCache& full = session.power_cache(name());
-    contracted::Prepared<dp::PowerNodeState> prep = contracted::prepare(
-        session, full, session.power_contraction(name()), in.scen(),
-        dp::capacity_params(in.modes), request.deltas);
-    PowerDPResult r;
-    if (prep.active) {
-      TREEPLACE_CHECK_MSG(in.costs.is_symmetric(),
-                          "power-sym requires a symmetric cost model; use "
-                          "power-exact for general Eq. 4 costs");
-      r = run_contracted_power(
-          in, full, prep, opts,
-          [](const Topology& topo, const Scenario& scen, const ModeSet& modes,
-             const CostModel& costs, const PowerDPOptions& o) {
-            return solve_power_symmetric(topo, scen, modes, costs, o);
-          });
-    } else {
-      opts.cache = &full;
-      opts.deltas = request.deltas;
-      r = run_dp(in, opts);
-    }
-    session.record_warm(r.stats.nodes_recomputed, r.stats.nodes_reused,
-                        r.stats.merge_steps, r.stats.signatures_checked,
-                        r.stats.cells_skipped);
-    return finish(in, std::move(r));
-  }
-
- private:
-  PowerDPOptions dp_options() const {
-    PowerDPOptions opts;
-    opts.threads = static_cast<std::size_t>(options().threads);
-    opts.pool = worker_pool();
-    return opts;
-  }
-
-  PowerDPResult run_dp(const Instance& in, const PowerDPOptions& opts) const {
+  static std::optional<Scenario> presolve(const Instance& in) {
     TREEPLACE_CHECK_MSG(in.costs.is_symmetric(),
                         "power-sym requires a symmetric cost model; use "
                         "power-exact for general Eq. 4 costs");
-    return solve_power_symmetric(in.topo(), in.scen(), in.modes, in.costs,
-                                 opts);
+    return std::nullopt;
+  }
+  static Result run(const Topology& topo, const Scenario& scen,
+                    const Instance& in, const Options& opts) {
+    return solve_power_symmetric(topo, scen, in.modes, in.costs, opts);
+  }
+};
+
+// --- Frozen-subtree contraction plumbing -----------------------------------
+
+/// Per-mode pre-existing totals over the *original* scenario: the exact
+/// power DP's root scan prices deletions against the whole tree's E, which
+/// a contracted scenario under-counts (same range CHECK as the engine's
+/// own uncontracted scan).
+std::vector<int> power_pre_totals(const Scenario& scen, int m) {
+  std::vector<int> totals(static_cast<std::size_t>(m), 0);
+  for (NodeId e : scen.pre_existing_nodes()) {
+    const int o = scen.original_mode(e);
+    TREEPLACE_CHECK_MSG(o >= 0 && o < m,
+                        "pre-existing node " << e << " has original mode "
+                                             << o << " outside the ModeSet");
+    ++totals[static_cast<std::size_t>(o)];
+  }
+  return totals;
+}
+
+/// Re-prices a contracted run's frontier on the original instance.  These
+/// are the exact per-point evaluator calls the uncontracted engine makes
+/// in build_frontier, so the reported doubles land bit-identical.
+void reprice_frontier(const Instance& in, PowerDPResult& r) {
+  for (PowerParetoPoint& point : r.frontier) {
+    point.breakdown = evaluate_cost(in.topo(), in.scen(), point.placement,
+                                    in.costs);
+    point.cost = point.breakdown.cost;
+    point.power = total_power(point.placement, in.modes);
+  }
+}
+
+/// Runs an engine over the contracted twin of `in` and restores the
+/// original-instance view of the result: frozen interiors counted as
+/// reused (the twin would have spliced each one) and, for the power
+/// engines, the frontier re-priced.  `scen` is the scenario the engine
+/// would see uncontracted; `full` is the session's full-tree cache.
+template <typename Engine>
+typename Engine::Result run_contracted(
+    const Instance& in, const Scenario& scen,
+    dp::SubtreeCache<typename Engine::NodeState>& full,
+    const contracted::Prepared<typename Engine::NodeState>& prep,
+    typename Engine::Options opts) {
+  constexpr bool kPower =
+      std::is_same_v<typename Engine::NodeState, dp::PowerNodeState>;
+  dp::MergePlanCache plans;
+  dp::ContractionView view;
+  view.to_original = prep.map->to_original_map();
+  view.sealed = prep.map->sealed();
+  view.planning_internal = in.topo().num_internal();
+  if constexpr (kPower) {
+    view.pre_total_per_mode = power_pre_totals(scen, in.modes.count());
+  }
+  view.num_pre_existing = scen.num_pre_existing();
+  view.expand_sealed = [&in, &full, &plans](NodeId root, std::size_t flat,
+                                            Placement& placement) {
+    Engine::reconstruct(in.topo(), full, plans, root, flat, placement);
+  };
+  opts.cache = prep.cache;
+  opts.deltas = prep.deltas;
+  opts.contraction = &view;
+  typename Engine::Result r =
+      Engine::run(*prep.map->contracted(), prep.scenario, in, opts);
+  if constexpr (kPower) reprice_frontier(in, r);
+  Engine::counters(r).nodes_reused += prep.hidden_internal;
+  return r;
+}
+
+/// A DP engine as a registered, session-aware Solver.  With a session the
+/// engine runs on the session's cache — over the contracted tree when
+/// contracted::prepare() says so — and the warm counters are recorded;
+/// without one it is a plain cold solve.
+template <typename Engine>
+class IncrementalSolver : public Solver {
+ public:
+  IncrementalSolver() : Solver(Engine::info()) {}
+  static SolverInfo make_info() { return Engine::info(); }
+
+  SolverCaps caps() const override { return SolverCaps::kIncremental; }
+
+  Solution solve(const Instance& in) const override {
+    return solve(SolveRequest{in});
   }
 
-  static Solution finish(const Instance& in, PowerDPResult r) {
-    return finish_frontier(in, r.feasible, std::move(r.frontier),
-                           {r.stats.solve_seconds, r.stats.merge_pairs});
+  Solution solve(const SolveRequest& request) const override {
+    Stopwatch timer;
+    const Instance& in = request.instance;
+    if (request.session != nullptr) {
+      request.session->check_topology(in.topology);
+    }
+    const std::optional<Scenario> fork = Engine::presolve(in);
+    const Scenario& scen = fork ? *fork : in.scen();
+    typename Engine::Options opts = Engine::options(*this, in);
+    if (request.session == nullptr) {
+      return Engine::finish(in, Engine::run(in.topo(), scen, in, opts),
+                            timer.seconds());
+    }
+    SolveSession& session = *request.session;
+    EngineState<typename Engine::NodeState>& state =
+        session.engine<typename Engine::NodeState>(name());
+    const contracted::Prepared<typename Engine::NodeState> prep =
+        contracted::prepare(session, state, scen, Engine::params(in),
+                            request.deltas);
+    typename Engine::Result r;
+    if (prep.active) {
+      r = run_contracted<Engine>(in, scen, state.cache, prep, opts);
+    } else {
+      opts.cache = &state.cache;
+      opts.deltas = request.deltas;
+      r = Engine::run(in.topo(), scen, in, opts);
+    }
+    const auto& counters = Engine::counters(r);
+    session.record_warm(counters.nodes_recomputed, counters.nodes_reused,
+                        counters.merge_steps, counters.signatures_checked,
+                        counters.cells_skipped);
+    return Engine::finish(in, std::move(r), timer.seconds());
   }
 };
 
@@ -640,9 +599,9 @@ void register_builtin_solvers(SolverRegistry& registry) {
   add_to<GreedySolver>(registry);
   add_to<GreedyPreferPreSolver>(registry);
   add_to<GreedyReuseSolver>(registry);
-  add_to<UpdateDpSolver>(registry);
-  add_to<PowerExactSolver>(registry);
-  add_to<PowerSymmetricSolver>(registry);
+  add_to<IncrementalSolver<UpdateDpEngine>>(registry);
+  add_to<IncrementalSolver<PowerExactEngine>>(registry);
+  add_to<IncrementalSolver<PowerSymmetricEngine>>(registry);
   add_to<PowerGreedySolver>(registry);
   add_to<PowerLocalSearchSolver>(registry);
   add_to<ExhaustiveCostSolver>(registry);

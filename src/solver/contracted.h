@@ -72,8 +72,9 @@ struct Prepared {
 /// and deactivates the slot.  No-op when inactive (any leftover map is
 /// still dropped).  Requires the session's solve mutex.
 template <typename NodeState>
-void decontract(dp::SubtreeCache<NodeState>& full,
-                ContractionSlot<NodeState>& slot) {
+void decontract(EngineState<NodeState>& engine) {
+  dp::SubtreeCache<NodeState>& full = engine.cache;
+  ContractionSlot<NodeState>& slot = engine.contraction;
   if (slot.active) {
     const Contraction& map = *slot.map;
     const Topology& topo = *map.original();
@@ -152,11 +153,12 @@ void preload(SolveSession& session, dp::SubtreeCache<NodeState>& full,
 /// Requires the session's solve mutex (it moves cache state around).
 template <typename NodeState>
 Prepared<NodeState> prepare(SolveSession& session,
-                            dp::SubtreeCache<NodeState>& full,
-                            ContractionSlot<NodeState>& slot,
+                            EngineState<NodeState>& engine,
                             const Scenario& scen,
                             const std::vector<std::uint64_t>& params,
                             std::span<const ScenarioDelta> deltas) {
+  dp::SubtreeCache<NodeState>& full = engine.cache;
+  ContractionSlot<NodeState>& slot = engine.contraction;
   Prepared<NodeState> prep;
   const SolveSession::Options& opts = session.options();
   const std::shared_ptr<const Topology>& topology = session.topology_ptr();
@@ -171,7 +173,7 @@ Prepared<NodeState> prepare(SolveSession& session,
   const std::optional<std::vector<NodeId>> touched =
       enabled ? dp::delta_touched_internal(topo, deltas) : std::nullopt;
   if (!touched.has_value()) {
-    decontract(full, slot);
+    decontract(engine);
     return prep;
   }
 
@@ -202,7 +204,7 @@ Prepared<NodeState> prepare(SolveSession& session,
         return prep;
       }
     }
-    decontract(full, slot);
+    decontract(engine);
   }
 
   // Fresh build: only off a completely warm full cache, and only when the

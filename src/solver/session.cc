@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cstring>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/dp_snapshot.h"
@@ -58,6 +61,69 @@ void discard_contraction(ContractionSlot<NodeState>& slot) {
   slot.active = false;
 }
 
+/// Calls f(map) on each engine kind's map of a SolveSession::Engines
+/// tuple, in tuple order (power before min-cost).
+template <typename Engines, typename F>
+void for_each_kind(Engines& engines, F&& f) {
+  std::apply([&f](auto&... maps) { (f(maps), ...); }, engines);
+}
+
+/// One engine map's (name, entry) pairs, names sorted: unordered_map
+/// iteration order is not stable, and snapshot bytes and shedding order
+/// must be.
+template <typename Map>
+auto sorted_entries(std::mutex& caches_mutex, Map& map) {
+  using Entry = typename Map::mapped_type::element_type;
+  std::vector<std::pair<std::string, Entry*>> entries;
+  {
+    std::scoped_lock lock(caches_mutex);
+    for (auto& [name, entry] : map) entries.emplace_back(name, entry.get());
+  }
+  std::sort(entries.begin(), entries.end());
+  return entries;
+}
+
+using AnyEngine = std::variant<EngineState<dp::PowerNodeState>*,
+                               EngineState<dp::MinCostNodeState>*>;
+
+/// Every engine entry of a session, power before min-cost, names sorted.
+/// The pointers stay valid while solve_mutex is held (only restore()
+/// replaces entries, and it holds solve_mutex too).
+template <typename Engines>
+std::vector<AnyEngine> list_engines(std::mutex& caches_mutex,
+                                    Engines& engines) {
+  std::vector<AnyEngine> out;
+  for_each_kind(engines, [&](auto& map) {
+    for (auto& [name, entry] : sorted_entries(caches_mutex, map)) {
+      out.push_back(entry);
+    }
+  });
+  return out;
+}
+
+/// Resident bytes of every engine's cached state, optionally packing it
+/// first.  An active contraction carries the live open-node tables in its
+/// own cache, so those count too (decontract unpacks what it copies).
+/// Requires solve_mutex.
+template <typename Engines>
+std::size_t engines_bytes(std::mutex& caches_mutex, Engines& engines,
+                          bool pack) {
+  std::size_t total = 0;
+  for (const AnyEngine& engine : list_engines(caches_mutex, engines)) {
+    std::visit(
+        [pack, &total](auto* e) {
+          if (pack) e->cache.pack_all();
+          total += cache_bytes(e->cache);
+          if (e->contraction.active) {
+            if (pack) e->contraction.cache.pack_all();
+            total += cache_bytes(e->contraction.cache);
+          }
+        },
+        engine);
+  }
+  return total;
+}
+
 }  // namespace
 
 SolveSession::SolveSession(std::shared_ptr<const Topology> topology)
@@ -68,36 +134,6 @@ SolveSession::SolveSession(std::shared_ptr<const Topology> topology,
     : topology_(std::move(topology)), options_(options) {
   TREEPLACE_CHECK_MSG(topology_ != nullptr,
                       "SolveSession over a null topology");
-}
-
-dp::PowerSubtreeCache& SolveSession::power_cache(const std::string& key) {
-  std::scoped_lock lock(caches_mutex_);
-  auto& slot = power_caches_[key];
-  if (!slot) slot = std::make_unique<dp::PowerSubtreeCache>();
-  return *slot;
-}
-
-dp::MinCostSubtreeCache& SolveSession::min_cost_cache(const std::string& key) {
-  std::scoped_lock lock(caches_mutex_);
-  auto& slot = min_cost_caches_[key];
-  if (!slot) slot = std::make_unique<dp::MinCostSubtreeCache>();
-  return *slot;
-}
-
-ContractionSlot<dp::PowerNodeState>& SolveSession::power_contraction(
-    const std::string& key) {
-  std::scoped_lock lock(caches_mutex_);
-  auto& slot = power_contractions_[key];
-  if (!slot) slot = std::make_unique<ContractionSlot<dp::PowerNodeState>>();
-  return *slot;
-}
-
-ContractionSlot<dp::MinCostNodeState>& SolveSession::min_cost_contraction(
-    const std::string& key) {
-  std::scoped_lock lock(caches_mutex_);
-  auto& slot = min_cost_contractions_[key];
-  if (!slot) slot = std::make_unique<ContractionSlot<dp::MinCostNodeState>>();
-  return *slot;
 }
 
 SolveSession::Stats SolveSession::stats() const {
@@ -157,170 +193,65 @@ void SolveSession::enforce_budget() {
   // the cache size.  bytes_resident then reads 0 (untracked).
   if (options_.max_bytes == 0) return;
 
-  // Snapshot the cache pointers under the map lock; their contents are
-  // protected by solve_mutex_, which record_warm's caller holds.
-  std::vector<dp::PowerSubtreeCache*> power;
-  std::vector<dp::MinCostSubtreeCache*> min_cost;
-  {
-    std::scoped_lock lock(caches_mutex_);
-    for (auto& [key, cache] : power_caches_) power.push_back(cache.get());
-    for (auto& [key, cache] : min_cost_caches_) {
-      min_cost.push_back(cache.get());
-    }
-  }
+  // Entry contents are protected by solve_mutex_, which record_warm's
+  // caller holds.
+  const std::vector<AnyEngine> engines = list_engines(caches_mutex_, engines_);
   std::size_t total = 0;
-  for (auto* cache : power) total += cache_bytes(*cache);
-  for (auto* cache : min_cost) total += cache_bytes(*cache);
-
-  const std::size_t budget = options_.max_bytes;
-  if (total > budget) {
-    // Pass 1: shed merge-tree snapshots, coldest first — the node stays
-    // spliceable while clean, only the O(log k) slot resume is lost.
-    std::vector<Shedding> snapshots;
-    for (std::size_t c = 0; c < power.size(); ++c) {
-      for (std::size_t i = 0; i < power[c]->size(); ++i) {
-        const std::size_t bytes = power[c]->snapshot_bytes(i);
-        if (bytes > 0) {
-          snapshots.push_back(
-              {power[c]->dirty_count(i), bytes, i, static_cast<int>(c)});
-        }
-      }
-    }
-    const int min_cost_base = static_cast<int>(power.size());
-    for (std::size_t c = 0; c < min_cost.size(); ++c) {
-      for (std::size_t i = 0; i < min_cost[c]->size(); ++i) {
-        const std::size_t bytes = min_cost[c]->snapshot_bytes(i);
-        if (bytes > 0) {
-          snapshots.push_back({min_cost[c]->dirty_count(i), bytes, i,
-                               min_cost_base + static_cast<int>(c)});
-        }
-      }
-    }
-    std::sort(snapshots.begin(), snapshots.end());
-    for (const Shedding& shed : snapshots) {
-      if (total <= budget) break;
-      if (shed.cache < min_cost_base) {
-        power[static_cast<std::size_t>(shed.cache)]->drop_snapshots(shed.node);
-      } else {
-        min_cost[static_cast<std::size_t>(shed.cache - min_cost_base)]
-            ->drop_snapshots(shed.node);
-      }
-      total -= std::min(total, shed.bytes);
-      snapshots_dropped_.fetch_add(1);
-    }
-
-    // Pass 2: still over budget — shed whole subtree tables, coldest
-    // first.  The next solve recomputes them (bit-identical, just paid
-    // again).
-    if (total > budget) {
-      std::vector<Shedding> tables;
-      for (std::size_t c = 0; c < power.size(); ++c) {
-        for (std::size_t i = 0; i < power[c]->size(); ++i) {
-          const std::size_t bytes = power[c]->state_bytes(i);
-          if (bytes > 0) {
-            tables.push_back(
-                {power[c]->dirty_count(i), bytes, i, static_cast<int>(c)});
-          }
-        }
-      }
-      for (std::size_t c = 0; c < min_cost.size(); ++c) {
-        for (std::size_t i = 0; i < min_cost[c]->size(); ++i) {
-          const std::size_t bytes = min_cost[c]->state_bytes(i);
-          if (bytes > 0) {
-            tables.push_back({min_cost[c]->dirty_count(i), bytes, i,
-                              min_cost_base + static_cast<int>(c)});
-          }
-        }
-      }
-      std::sort(tables.begin(), tables.end());
-      for (const Shedding& shed : tables) {
-        if (total <= budget) break;
-        if (shed.cache < min_cost_base) {
-          power[static_cast<std::size_t>(shed.cache)]->drop_state(shed.node);
-        } else {
-          min_cost[static_cast<std::size_t>(shed.cache - min_cost_base)]
-              ->drop_state(shed.node);
-        }
-        total -= std::min(total, shed.bytes);
-        tables_dropped_.fetch_add(1);
-      }
-    }
+  for (const AnyEngine& engine : engines) {
+    std::visit([&total](auto* e) { total += cache_bytes(e->cache); }, engine);
   }
+
+  // Sheds merge-tree snapshots (pass 1) or whole node states (pass 2),
+  // coldest first across every cache, until the budget holds.
+  const std::size_t budget = options_.max_bytes;
+  auto shed = [&](bool snapshots, std::atomic<std::uint64_t>& dropped) {
+    std::vector<Shedding> victims;
+    for (std::size_t c = 0; c < engines.size(); ++c) {
+      std::visit(
+          [&](auto* e) {
+            for (std::size_t i = 0; i < e->cache.size(); ++i) {
+              const std::size_t bytes = snapshots ? e->cache.snapshot_bytes(i)
+                                                  : e->cache.state_bytes(i);
+              if (bytes > 0) {
+                victims.push_back(
+                    {e->cache.dirty_count(i), bytes, i, static_cast<int>(c)});
+              }
+            }
+          },
+          engines[c]);
+    }
+    std::sort(victims.begin(), victims.end());
+    for (const Shedding& victim : victims) {
+      if (total <= budget) break;
+      std::visit(
+          [&](auto* e) {
+            if (snapshots) {
+              e->cache.drop_snapshots(victim.node);
+            } else {
+              e->cache.drop_state(victim.node);
+            }
+          },
+          engines[static_cast<std::size_t>(victim.cache)]);
+      total -= std::min(total, victim.bytes);
+      dropped.fetch_add(1);
+    }
+  };
+  // Pass 1 keeps each node spliceable while clean, losing only the
+  // O(log k) slot resume.  Pass 2 makes the next solve recompute the shed
+  // tables (bit-identical, just paid again).
+  if (total > budget) shed(/*snapshots=*/true, snapshots_dropped_);
+  if (total > budget) shed(/*snapshots=*/false, tables_dropped_);
   bytes_resident_.store(total);
 }
 
 std::size_t SolveSession::compact() {
   std::scoped_lock solve_lock(solve_mutex_);
-  std::vector<dp::PowerSubtreeCache*> power;
-  std::vector<dp::MinCostSubtreeCache*> min_cost;
-  std::vector<ContractionSlot<dp::PowerNodeState>*> power_slots;
-  std::vector<ContractionSlot<dp::MinCostNodeState>*> min_cost_slots;
-  {
-    std::scoped_lock lock(caches_mutex_);
-    for (auto& [key, cache] : power_caches_) power.push_back(cache.get());
-    for (auto& [key, cache] : min_cost_caches_) {
-      min_cost.push_back(cache.get());
-    }
-    for (auto& [key, slot] : power_contractions_) {
-      power_slots.push_back(slot.get());
-    }
-    for (auto& [key, slot] : min_cost_contractions_) {
-      min_cost_slots.push_back(slot.get());
-    }
-  }
-  std::size_t total = 0;
-  for (auto* cache : power) {
-    cache->pack_all();
-    total += cache_bytes(*cache);
-  }
-  for (auto* cache : min_cost) {
-    cache->pack_all();
-    total += cache_bytes(*cache);
-  }
-  // Active contractions carry the live open-node tables in their own
-  // cache; pack and count those too (decontract unpacks what it copies).
-  for (auto* slot : power_slots) {
-    if (!slot->active) continue;
-    slot->cache.pack_all();
-    total += cache_bytes(slot->cache);
-  }
-  for (auto* slot : min_cost_slots) {
-    if (!slot->active) continue;
-    slot->cache.pack_all();
-    total += cache_bytes(slot->cache);
-  }
-  return total;
+  return engines_bytes(caches_mutex_, engines_, /*pack=*/true);
 }
 
 std::size_t SolveSession::resident_bytes() {
   std::scoped_lock solve_lock(solve_mutex_);
-  std::vector<dp::PowerSubtreeCache*> power;
-  std::vector<dp::MinCostSubtreeCache*> min_cost;
-  std::vector<ContractionSlot<dp::PowerNodeState>*> power_slots;
-  std::vector<ContractionSlot<dp::MinCostNodeState>*> min_cost_slots;
-  {
-    std::scoped_lock lock(caches_mutex_);
-    for (auto& [key, cache] : power_caches_) power.push_back(cache.get());
-    for (auto& [key, cache] : min_cost_caches_) {
-      min_cost.push_back(cache.get());
-    }
-    for (auto& [key, slot] : power_contractions_) {
-      power_slots.push_back(slot.get());
-    }
-    for (auto& [key, slot] : min_cost_contractions_) {
-      min_cost_slots.push_back(slot.get());
-    }
-  }
-  std::size_t total = 0;
-  for (auto* cache : power) total += cache_bytes(*cache);
-  for (auto* cache : min_cost) total += cache_bytes(*cache);
-  for (auto* slot : power_slots) {
-    if (slot->active) total += cache_bytes(slot->cache);
-  }
-  for (auto* slot : min_cost_slots) {
-    if (slot->active) total += cache_bytes(slot->cache);
-  }
-  return total;
+  return engines_bytes(caches_mutex_, engines_, /*pack=*/false);
 }
 
 void SolveSession::save(binio::Writer& w) {
@@ -329,65 +260,31 @@ void SolveSession::save(binio::Writer& w) {
   // snapshot format stays contraction-free, a contracted-warm session
   // serializes to the same bytes as its uncontracted twin, and a restored
   // shard simply re-contracts on its first delta batch.
-  {
-    std::vector<std::pair<ContractionSlot<dp::PowerNodeState>*,
-                          dp::PowerSubtreeCache*>>
-        power_active;
-    std::vector<std::pair<ContractionSlot<dp::MinCostNodeState>*,
-                          dp::MinCostSubtreeCache*>>
-        min_cost_active;
-    {
-      std::scoped_lock lock(caches_mutex_);
-      for (auto& [key, slot] : power_contractions_) {
-        if (slot->active) {
-          power_active.emplace_back(slot.get(), power_caches_.at(key).get());
-        }
-      }
-      for (auto& [key, slot] : min_cost_contractions_) {
-        if (slot->active) {
-          min_cost_active.emplace_back(slot.get(),
-                                       min_cost_caches_.at(key).get());
-        }
-      }
-    }
-    for (auto& [slot, cache] : power_active) {
-      contracted::decontract(*cache, *slot);
-    }
-    for (auto& [slot, cache] : min_cost_active) {
-      contracted::decontract(*cache, *slot);
-    }
+  for (const AnyEngine& engine : list_engines(caches_mutex_, engines_)) {
+    std::visit(
+        [](auto* e) {
+          if (e->contraction.active) contracted::decontract(*e);
+        },
+        engine);
   }
-  // Snapshot the cache pointers under the map lock, then write in sorted
-  // name order so identical sessions serialize to identical bytes
-  // (unordered_map iteration order is not stable).
-  std::vector<std::pair<std::string, dp::PowerSubtreeCache*>> power;
-  std::vector<std::pair<std::string, dp::MinCostSubtreeCache*>> min_cost;
-  {
-    std::scoped_lock lock(caches_mutex_);
-    for (auto& [key, cache] : power_caches_) {
-      if (cache->size() > 0) power.emplace_back(key, cache.get());
-    }
-    for (auto& [key, cache] : min_cost_caches_) {
-      if (cache->size() > 0) min_cost.emplace_back(key, cache.get());
-    }
-  }
-  std::sort(power.begin(), power.end());
-  std::sort(min_cost.begin(), min_cost.end());
 
   w.raw(dp::kSnapshotMagic, 8);
   w.u32(dp::kSnapshotVersion);
   w.u64(topology_->structural_hash());
   w.u64(topology_->num_internal());
-  w.u32(static_cast<std::uint32_t>(power.size()));
-  for (auto& [name, cache] : power) {
-    w.str(name);
-    dp::save_cache(w, *cache);
-  }
-  w.u32(static_cast<std::uint32_t>(min_cost.size()));
-  for (auto& [name, cache] : min_cost) {
-    w.str(name);
-    dp::save_cache(w, *cache);
-  }
+  // Per engine kind: the count of non-empty caches, then each one in
+  // sorted name order, so identical sessions serialize to identical bytes.
+  for_each_kind(engines_, [this, &w](auto& map) {
+    auto entries = sorted_entries(caches_mutex_, map);
+    std::erase_if(entries, [](const auto& entry) {
+      return entry.second->cache.size() == 0;
+    });
+    w.u32(static_cast<std::uint32_t>(entries.size()));
+    for (auto& [name, entry] : entries) {
+      w.str(name);
+      dp::save_cache(w, entry->cache);
+    }
+  });
   w.write_crc();
 }
 
@@ -407,68 +304,42 @@ void SolveSession::restore(binio::Reader& r) {
   TREEPLACE_CHECK_MSG(n == topology_->num_internal(),
                       "snapshot internal-node count mismatch");
 
-  // Parse into fresh caches; they replace the session's only after the
+  // Parse into fresh entries; they replace the session's only after the
   // CRC trailer verifies, so a bad file can never half-restore.
   constexpr std::uint32_t kMaxCaches = 1024;
-  std::vector<std::pair<std::string, std::unique_ptr<dp::PowerSubtreeCache>>>
-      power;
-  std::vector<std::pair<std::string, std::unique_ptr<dp::MinCostSubtreeCache>>>
-      min_cost;
-  const std::uint32_t num_power = r.u32();
-  TREEPLACE_CHECK_MSG(num_power <= kMaxCaches, "snapshot cache count bogus");
-  for (std::uint32_t c = 0; c < num_power; ++c) {
-    std::string name = r.str(256);
-    auto cache = std::make_unique<dp::PowerSubtreeCache>();
-    dp::load_cache(r, topology_.get(), *cache);
-    power.emplace_back(std::move(name), std::move(cache));
-  }
-  const std::uint32_t num_min_cost = r.u32();
-  TREEPLACE_CHECK_MSG(num_min_cost <= kMaxCaches,
-                      "snapshot cache count bogus");
-  for (std::uint32_t c = 0; c < num_min_cost; ++c) {
-    std::string name = r.str(256);
-    auto cache = std::make_unique<dp::MinCostSubtreeCache>();
-    dp::load_cache(r, topology_.get(), *cache);
-    min_cost.emplace_back(std::move(name), std::move(cache));
-  }
+  Engines loaded;
+  for_each_kind(loaded, [this, &r](auto& map) {
+    using Entry =
+        typename std::decay_t<decltype(map)>::mapped_type::element_type;
+    const std::uint32_t count = r.u32();
+    TREEPLACE_CHECK_MSG(count <= kMaxCaches, "snapshot cache count bogus");
+    for (std::uint32_t c = 0; c < count; ++c) {
+      std::string name = r.str(256);
+      auto entry = std::make_unique<Entry>();
+      dp::load_cache(r, topology_.get(), entry->cache);
+      map[std::move(name)] = std::move(entry);
+    }
+  });
   r.verify_crc();
 
   std::scoped_lock lock(caches_mutex_);
-  for (auto& [name, cache] : power) {
-    power_caches_[name] = std::move(cache);
-  }
-  for (auto& [name, cache] : min_cost) {
-    min_cost_caches_[name] = std::move(cache);
-  }
+  for_each_kind(loaded, [this](auto& map) {
+    auto& live = std::get<std::decay_t<decltype(map)>>(engines_);
+    for (auto& [name, entry] : map) live[name] = std::move(entry);
+  });
   // The restored full caches are authoritative (save() decontracts before
   // writing); any live contraction's tables are now stale — discard them.
-  for (auto& [name, slot] : power_contractions_) discard_contraction(*slot);
-  for (auto& [name, slot] : min_cost_contractions_) {
-    discard_contraction(*slot);
-  }
+  for_each_kind(engines_, [](auto& map) {
+    for (auto& [name, entry] : map) discard_contraction(entry->contraction);
+  });
 }
 
-// Base implementations of the unified entry point and its deprecated
-// alias; defined here so solver.h stays free of the session's definition.
-// They forward to each other through the virtual dispatch so both call
-// styles reach whichever one a strategy actually overrides: pre-redesign
-// solvers override solve_incremental() (reached via the unified base),
-// in-tree solvers override solve(const SolveRequest&) (reached via the
-// legacy base).  A strategy advertising kIncremental must override one of
-// the two.
+// Defined here so solver.h stays free of the session's definition.
+// Strategies without warm-start support solve cold; the session only
+// counts the solve.
 Solution Solver::solve(const SolveRequest& request) const {
-  if (request.session != nullptr && supports_incremental()) {
-    return solve_incremental(request.instance, request.deltas,
-                             *request.session);
-  }
   if (request.session != nullptr) request.session->record_cold();
   return solve(request.instance);
-}
-
-Solution Solver::solve_incremental(const Instance& instance,
-                                   std::span<const ScenarioDelta> deltas,
-                                   SolveSession& session) const {
-  return solve(SolveRequest{instance, deltas, &session});
 }
 
 }  // namespace treeplace

@@ -15,8 +15,9 @@
 //     (SubtreeCache::attach wipes on a topology change), so a misused
 //     session degrades to cold solves, never to wrong results.
 //   * Warm solves sharing a session must be serialized: hold solve_mutex()
-//     across each Solver::solve_incremental call (SolveDispatcher does, and
-//     also runs them in submit order through take_ticket()/wait_turn()).
+//     across each Solver::solve(SolveRequest) call that carries the session
+//     (SolveDispatcher does, and also runs them in submit order through
+//     take_ticket()/wait_turn()).
 //     The stats counters are atomics and may be read concurrently.
 //   * Results are bit-identical to cold solves by construction; only the
 //     work counters (merge pairs, table cells) shrink.
@@ -32,6 +33,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 
 #include "core/dp_cache.h"
@@ -56,6 +58,14 @@ struct ContractionSlot {
   std::unique_ptr<Contraction> map;
   dp::SubtreeCache<NodeState> cache;
   bool active = false;
+};
+
+/// One engine's warm-start state within a session: the full-tree subtree
+/// cache plus its contraction slot.
+template <typename NodeState>
+struct EngineState {
+  dp::SubtreeCache<NodeState> cache;
+  ContractionSlot<NodeState> contraction;
 };
 
 class SolveSession {
@@ -102,8 +112,8 @@ class SolveSession {
                         "topology (sessions are per-topology)");
   }
 
-  /// Serializes warm solves: hold across a solve_incremental() call that
-  /// was handed this session.
+  /// Serializes warm solves: hold across a Solver::solve(SolveRequest)
+  /// call that was handed this session.
   std::mutex& solve_mutex() { return solve_mutex_; }
 
   /// Submit-order turns for warm solves.  Work counters depend on which
@@ -118,19 +128,18 @@ class SolveSession {
   void wait_turn(std::uint64_t ticket);
   void end_turn();
 
-  /// The per-engine caches, created on first use.  The key is the solver's
-  /// registry name, so "power-exact" and "power-sym" never share tables
-  /// (their boxes have different dimensionality).
-  dp::PowerSubtreeCache& power_cache(const std::string& key);
-  dp::MinCostSubtreeCache& min_cost_cache(const std::string& key);
-
-  /// Per-engine contraction slots (Options::contract), created on first
-  /// use and keyed like the caches.  Managed by solver/contracted.h's
-  /// prepare()/decontract() under solve_mutex().
-  ContractionSlot<dp::PowerNodeState>& power_contraction(
-      const std::string& key);
-  ContractionSlot<dp::MinCostNodeState>& min_cost_contraction(
-      const std::string& key);
+  /// The per-engine warm-start state, created on first use.  The key is
+  /// the solver's registry name, so "power-exact" and "power-sym" never
+  /// share tables (their boxes have different dimensionality).  The
+  /// contraction slot (Options::contract) is managed by
+  /// solver/contracted.h's prepare()/decontract() under solve_mutex().
+  template <typename NodeState>
+  EngineState<NodeState>& engine(const std::string& key) {
+    std::scoped_lock lock(caches_mutex_);
+    auto& entry = std::get<EngineMap<NodeState>>(engines_)[key];
+    if (!entry) entry = std::make_unique<EngineState<NodeState>>();
+    return *entry;
+  }
 
   struct Stats {
     std::uint64_t warm_solves = 0;  ///< solves that went through a cache
@@ -168,7 +177,7 @@ class SolveSession {
   void record_warm(std::uint64_t nodes_recomputed, std::uint64_t nodes_reused,
                    std::uint64_t merge_steps, std::uint64_t signatures_checked,
                    std::uint64_t cells_skipped);
-  /// Called by the base-class cold fallback.
+  /// Called by the base-class solve(const SolveRequest&) fallback.
   void record_cold();
   /// Called by solver/contracted.h's preload() with the sealed-leaf count
   /// and injected-cell total of a freshly built contraction.
@@ -218,16 +227,15 @@ class SolveSession {
   // Guards the cache maps only; cache contents are protected by
   // solve_mutex_ (held across the whole solve).
   std::mutex caches_mutex_;
-  std::unordered_map<std::string, std::unique_ptr<dp::PowerSubtreeCache>>
-      power_caches_;
-  std::unordered_map<std::string, std::unique_ptr<dp::MinCostSubtreeCache>>
-      min_cost_caches_;
-  std::unordered_map<std::string,
-                     std::unique_ptr<ContractionSlot<dp::PowerNodeState>>>
-      power_contractions_;
-  std::unordered_map<std::string,
-                     std::unique_ptr<ContractionSlot<dp::MinCostNodeState>>>
-      min_cost_contractions_;
+  template <typename NodeState>
+  using EngineMap =
+      std::unordered_map<std::string, std::unique_ptr<EngineState<NodeState>>>;
+  /// One map per engine kind.  Every walk over all engines (save, restore,
+  /// compact, resident_bytes, enforce_budget) visits them in this order —
+  /// power before min-cost — and each map's names sorted.
+  using Engines = std::tuple<EngineMap<dp::PowerNodeState>,
+                             EngineMap<dp::MinCostNodeState>>;
+  Engines engines_;
   std::atomic<std::uint64_t> warm_solves_{0};
   std::atomic<std::uint64_t> cold_solves_{0};
   std::atomic<std::uint64_t> nodes_recomputed_{0};

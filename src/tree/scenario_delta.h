@@ -2,8 +2,8 @@
 // stream and of every delta-aware (warm-start) solve.
 //
 // The serve record parser (serve/wire.h) produces deltas and the core
-// solvers consume delta spans (Solver::solve_incremental), so the type
-// lives with the Scenario it edits.  A delta names the *operation*, not
+// solvers consume delta spans (SolveRequest::deltas), so the type lives
+// with the Scenario it edits.  A delta names the *operation*, not
 // its effect: apply_delta() is the one place the four operations are
 // interpreted, shared by the servers, the experiment drivers and the
 // tests, so everyone agrees on semantics (and on which CheckErrors a

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <future>
 #include <memory>
 #include <utility>
@@ -150,6 +151,44 @@ TEST_F(DispatcherTest, SolverThrowResolvesWithError) {
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("symmetric"), std::string::npos);
   EXPECT_EQ(dispatcher.stats().per_solver[0].errors, 1u);
+}
+
+TEST_F(DispatcherTest, SolverThrowWithSessionEndsItsTurn) {
+  // The symmetric-cost check also fires on a warm solve, and the failed
+  // solve must end its session turn: the next solve queued on the same
+  // session still completes.
+  DispatcherConfig config;
+  config.algos = {"power-sym"};
+  config.threads = 2;
+  SolveDispatcher dispatcher(config);
+
+  const ModeSet modes({5, 10}, 12.5, 3.0);
+  const CostModel asymmetric({0.7, 0.1}, {0.01, 0.01},
+                             {{0.0, 0.001}, {0.001, 0.0}});
+  const CostModel symmetric = CostModel::uniform(2, 0.1, 0.01, 0.001, 0.001);
+  const auto topo = tree_.topology_ptr();
+  const auto session = std::make_shared<SolveSession>(topo);
+  Scenario scen = tree_.scenario();
+  const ScenarioDelta delta =
+      ScenarioDelta::set_requests(tree_.client_ids().front(), 3);
+  apply_delta(scen, delta);
+
+  auto failed = dispatcher.submit(
+      0, Instance{topo, scen, modes, asymmetric, std::nullopt}, session,
+      {delta});
+  auto next = dispatcher.submit(
+      0, Instance{topo, scen, modes, symmetric, std::nullopt}, session, {});
+  const ServeResult rejected = failed.get();
+  EXPECT_FALSE(rejected.ok);
+  EXPECT_NE(rejected.error.find("symmetric"), std::string::npos);
+  ASSERT_EQ(next.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready)
+      << "the failed solve left the session's turn queue stuck";
+  const ServeResult solved = next.get();
+  EXPECT_TRUE(solved.ok) << solved.error;
+  EXPECT_TRUE(solved.warm);
+  EXPECT_EQ(dispatcher.stats().per_solver[0].errors, 1u);
+  EXPECT_EQ(dispatcher.stats().per_solver[0].solves, 1u);
 }
 
 /// Pipelines `kRequests` warm solves on one session: request k applies

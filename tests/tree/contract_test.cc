@@ -286,8 +286,8 @@ void run_contract_fuzz(const ContractFuzzSetup& setup, int solver_threads) {
     };
 
     // Warm both sessions up cold.
-    contracted_solver->solve_incremental(instance(), {}, contracted);
-    plain_solver->solve_incremental(instance(), {}, plain);
+    contracted_solver->solve(SolveRequest{instance(), {}, &contracted});
+    plain_solver->solve(SolveRequest{instance(), {}, &plain});
 
     NodeId last_client = kNoNode;
     for (int step = 0; step < setup.steps; ++step) {
@@ -323,11 +323,10 @@ void run_contract_fuzz(const ContractFuzzSetup& setup, int solver_threads) {
           setup.algo + " threads=" + std::to_string(solver_threads) +
           " tree=" + std::to_string(index) + " step=" + std::to_string(step);
       const Solution cold = cold_solver->solve(instance());
-      const Solution warm_contracted =
-          contracted_solver->solve_incremental(instance(), deltas,
-                                               contracted);
+      const Solution warm_contracted = contracted_solver->solve(
+          SolveRequest{instance(), deltas, &contracted});
       const Solution warm_plain =
-          plain_solver->solve_incremental(instance(), deltas, plain);
+          plain_solver->solve(SolveRequest{instance(), deltas, &plain});
       expect_identical(warm_contracted, cold, context + " contracted");
       expect_identical(warm_plain, cold, context + " plain");
       expect_same_counters(contracted, plain, context);
@@ -362,6 +361,9 @@ TEST(ContractedSolveTest, PowerExactBitIdenticalThreaded) {
 
 TEST(ContractedSolveTest, UpdateDpBitIdenticalSerial) {
   run_contract_fuzz({"update-dp", 96, true, 10, 0.5, 2},
+                    /*solver_threads=*/1);
+  // Multi-mode: contraction tracks update-dp's collapsed scenario fork.
+  run_contract_fuzz({"update-dp", 96, false, 10, 0.5, 2},
                     /*solver_threads=*/1);
 }
 
@@ -408,11 +410,11 @@ TEST(ContractedSolveTest, SealedSubtreeGoingDirtyUnsealsAndReseals) {
       apply_delta(tree.scenario(), delta);
     }
     const Solution cold = cold_solver->solve(instance());
+    expect_identical(contracted_solver->solve(
+                         SolveRequest{instance(), deltas, &contracted}),
+                     cold, context + " contracted");
     expect_identical(
-        contracted_solver->solve_incremental(instance(), deltas, contracted),
-        cold, context + " contracted");
-    expect_identical(
-        plain_solver->solve_incremental(instance(), deltas, plain), cold,
+        plain_solver->solve(SolveRequest{instance(), deltas, &plain}), cold,
         context + " plain");
     expect_same_counters(contracted, plain, context);
   };
@@ -424,8 +426,8 @@ TEST(ContractedSolveTest, SealedSubtreeGoingDirtyUnsealsAndReseals) {
   const NodeId hot = arm_tips[2];    // arm 0's deepest client
   const NodeId frozen = arm_tips[23];  // deep inside a different arm
 
-  contracted_solver->solve_incremental(instance(), {}, contracted);
-  plain_solver->solve_incremental(instance(), {}, plain);
+  contracted_solver->solve(SolveRequest{instance(), {}, &contracted});
+  plain_solver->solve(SolveRequest{instance(), {}, &plain});
 
   // Prime the touched-set tracking, then stay on arm 0: a contraction
   // builds and every other arm seals.
