@@ -13,7 +13,8 @@
 // scenario counts, whether the server saturated the level (peak
 // concurrent connections reached the target), and two correctness flags —
 // every connection's bytes ordered and bit-identical (timings stripped)
-// to what single-stream StreamServer emits for the same record sequence.
+// to what the serial reference (serve_serially) emits for the same record
+// sequence.
 // Throughput and latency stay warn-only in the CSV/stdout.
 //
 // TREEPLACE_CHURN_CONNS overrides the per-level total connection count.
@@ -34,7 +35,6 @@
 
 #include "bench/bench_util.h"
 #include "serve/net_server.h"
-#include "serve/stream_server.h"
 #include "tree/io.h"
 #include "tree/tree.h"
 
@@ -76,22 +76,6 @@ std::string make_stream() {
   return out.str();
 }
 constexpr std::size_t kRequestsPerConn = 4;
-
-/// What StreamServer emits for the same records: result lines only,
-/// timings stripped — the bit-identity reference.
-std::string stream_reference(const std::string& stream) {
-  std::istringstream in(stream);
-  std::ostringstream out;
-  StreamServer server(serve_config());
-  server.serve(in, out);
-  std::istringstream lines(out.str());
-  std::string line;
-  std::string results;
-  while (std::getline(lines, line)) {
-    if (line.rfind("result ", 0) == 0) results += line + "\n";
-  }
-  return strip_timings(results);
-}
 
 /// 1024 concurrent connections need ~2x that in fds (client + server end
 /// share this process); lift the soft limit to the hard cap.
@@ -255,15 +239,15 @@ int main(int argc, char** argv) {
       "connection churn — async TCP front-end under concurrent clients",
       "poll()-multiplexed loopback clients cycling connect -> publish -> "
       "read -> disconnect against an in-process NetServer; every "
-      "connection's bytes must be ordered and bit-identical to "
-      "single-stream StreamServer");
+      "connection's bytes must be ordered and bit-identical to the "
+      "serial reference");
   raise_nofile_limit();
 
   const std::size_t total_override = env_size_t("TREEPLACE_CHURN_CONNS", 0);
   const std::vector<std::size_t> levels = {1, 64, 1024};
 
   const std::string stream = make_stream();
-  const std::string reference = stream_reference(stream);
+  const std::string reference = serve_serially(stream, serve_config());
 
   Table table({"concurrency", "connections", "scenarios", "conns/sec",
                "scenarios/sec", "p99_latency_s", "seconds", "identical"});
@@ -325,11 +309,13 @@ int main(int argc, char** argv) {
   gate.save_json(json_path);
   std::cout << "\n(JSON written to " << json_path << ")\n";
   if (!all_ok) {
-    std::cout << "FAIL: connection results diverged from stream mode or a "
+    std::cout << "FAIL: connection results diverged from the serial "
+                 "reference or a "
                  "level failed to saturate\n";
     return 1;
   }
-  std::cout << "all connections bit-identical to stream mode at every "
+  std::cout << "all connections bit-identical to the serial reference at "
+               "every "
                "level\n";
   return 0;
 }

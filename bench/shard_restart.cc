@@ -16,8 +16,8 @@
 // Phase 2 (sharding): 64 concurrent connections run the connection-churn
 // conversation against `--shards 1` and `--shards 4` servers; every
 // connection's bytes must be bit-identical (timings stripped) to what the
-// single-stream StreamServer emits, so the shard count is invisible in
-// results.
+// serial reference (serve_serially) emits, so the shard count is
+// invisible in results.
 //
 // The CI-gated JSON holds only deterministic columns: the work counters,
 // the identity flags, and the snapshot save/restore counts.
@@ -37,7 +37,6 @@
 
 #include "bench/bench_util.h"
 #include "serve/net_server.h"
-#include "serve/stream_server.h"
 #include "tree/io.h"
 #include "tree/tree.h"
 
@@ -161,7 +160,7 @@ struct ServerHandle {
 };
 
 /// Phase 2 helper: `conns` concurrent conversations, each checked against
-/// the single-stream reference.
+/// the serial reference.
 bool all_identical(std::uint16_t port, std::size_t conns,
                    const std::string& payload, const std::string& reference) {
   std::vector<std::string> received(conns);
@@ -244,19 +243,7 @@ int main(int argc, char** argv) {
   const std::string churn_payload =
       tree + "treeplace-scenario v1 1\nE 2\nE 6 0\n" +
       "treeplace-scenario v1 1\nZ\nR 33 7\n" + kDelta;
-  std::string reference;
-  {
-    std::istringstream in(churn_payload);
-    std::ostringstream out;
-    StreamServer stream_server(serve_config());
-    stream_server.serve(in, out);
-    std::istringstream lines(out.str());
-    std::string line;
-    while (std::getline(lines, line)) {
-      if (line.rfind("result ", 0) == 0) reference += line + "\n";
-    }
-    reference = strip_timings(reference);
-  }
+  const std::string reference = serve_serially(churn_payload, serve_config());
   constexpr std::size_t kConns = 64;
   bool sharded_identical[2] = {false, false};
   const std::size_t shard_counts[2] = {1, 4};
@@ -309,7 +296,7 @@ int main(int argc, char** argv) {
   if (!ok) {
     std::cout << "FAIL: restored warm work diverged from the live session, "
                  "persistence did not engage, or sharded results diverged "
-                 "from stream mode\n";
+                 "from the serial reference\n";
     return 1;
   }
   std::cout << "restored warm solve bit-identical to the live session; "

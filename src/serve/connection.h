@@ -1,4 +1,5 @@
-// Per-connection serving state for the TCP front-end.
+// Per-connection serving state for the serving loop (serve/net_server.h):
+// a TCP client, or the one connection stdin is served as.
 //
 // A Connection owns everything one client socket accumulates between
 // events: the inbound LineBuffer the socket reads into, the incremental
@@ -10,8 +11,8 @@
 // Ordering contract: requests are assigned consecutive sequence numbers at
 // submit time; completions arrive from worker threads in any order and are
 // parked in `complete()` until every earlier sequence has been emitted, so
-// the bytes written to the socket are in request order — exactly the
-// stream server's guarantee, per connection.
+// the bytes written to the socket are in request order.  This is the only
+// place result ordering is implemented.
 //
 // The class is plain single-threaded state: only the event loop touches
 // it.  Worker threads never see a Connection — they hand completions to
@@ -31,14 +32,6 @@
 #include "serve/wire.h"
 
 namespace treeplace::serve {
-
-struct ConnectionStats {
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
-  std::uint64_t requests = 0;  ///< records submitted
-  std::uint64_t results = 0;   ///< result lines emitted
-  std::uint64_t backpressure_stalls = 0;  ///< reads paused: dispatcher full
-};
 
 class Connection {
  public:
@@ -67,10 +60,7 @@ class Connection {
   std::span<char> writable(std::size_t min_bytes) {
     return in_.writable(min_bytes);
   }
-  void commit(std::size_t n) {
-    in_.commit(n);
-    stats_.bytes_in += n;
-  }
+  void commit(std::size_t n) { in_.commit(n); }
 
   /// Frames every complete buffered line through the record parser;
   /// completed records are appended to ready_requests().  Throws
@@ -80,11 +70,10 @@ class Connection {
 
   /// The peer half-closed its write side: parse the trailing unterminated
   /// line, if any, and complete the in-progress record — end-of-input
-  /// terminates a record, as it does for StreamServer.
+  /// terminates a record, as it does for serve_serially.
   void input_done();
 
   bool peer_eof() const { return peer_eof_; }
-  std::size_t buffered_input() const { return in_.buffered_bytes(); }
 
   /// Parsed records waiting for a dispatcher slot.  While non-empty the
   /// server masks EPOLLIN on this socket: backpressure propagates to the
@@ -118,17 +107,15 @@ class Connection {
 
   // --- event-loop bookkeeping ----------------------------------------------
 
-  ConnectionStats& stats() { return stats_; }
-  const ConnectionStats& stats() const { return stats_; }
-
   /// Current poller registration (the loop diffs desired vs. these and
   /// issues one update() per transition).
   bool poll_read = true;
   bool poll_write = false;
   /// In the loop's stalled list (dispatcher queue was full).
   bool stalled = false;
-  /// Set on a fatal protocol error; the connection stops reading, lets
-  /// in-flight results finish, appends the error note, then closes.
+  /// Set on a fatal protocol error; the connection stops reading, serves
+  /// the records parsed before the bad line, appends the error note once
+  /// their results are out, then closes.
   bool failed = false;
   std::string fail_reason;
   bool fail_noted = false;
@@ -150,8 +137,6 @@ class Connection {
   std::size_t next_emit_ = 0;
   std::deque<double> submit_times_;  ///< front() is next_emit_'s timestamp
   std::map<std::size_t, RenderedResult> completed_;
-
-  ConnectionStats stats_;
 };
 
 }  // namespace treeplace::serve

@@ -19,8 +19,10 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <istream>
 #include <optional>
 #include <ostream>
+#include <sstream>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -491,8 +493,6 @@ void NetServer::Loop::handle_readable(Connection* conn) {
     } catch (const CheckError& e) {
       fail_connection(conn, e.what());
     }
-  } else if (eof) {
-    conn->input_done();
   }
   process_requests(conn);
   flush_completed(conn);  // writes, re-arms interest, may close
@@ -507,10 +507,8 @@ void NetServer::Loop::handle_writable(Connection* conn) {
 }
 
 void NetServer::Loop::process_requests(Connection* conn) {
-  if (conn->failed) {
-    conn->ready_requests().clear();
-    return;
-  }
+  // A failed connection still serves the records it parsed before the
+  // bad line; its protocol error note follows their results.
   while (!conn->ready_requests().empty()) {
     if (conn->out().size() > config_.max_output_bytes) {
       if (conn->poll_read) ++summary_.output_stalls;
@@ -519,10 +517,10 @@ void NetServer::Loop::process_requests(Connection* conn) {
     ServeRequest& request = conn->ready_requests().front();
 
     // The handshake consumes no ordinal and no dispatcher slot; replying
-    // inline keeps the `# hello:` line ahead of every result, exactly as
-    // in stream mode.  A name binds the connection's cache namespace to
-    // the name's stable hash — the identity the router hashed onto the
-    // ring, and the one persistence files are keyed by.
+    // inline keeps the `# hello:` line ahead of every result.  A name
+    // binds the connection's cache namespace to the name's stable hash —
+    // the identity the router hashed onto the ring, and the one
+    // persistence files are keyed by.
     if (request.hello) {
       ++summary_.hellos;
       if (!request.hello->name.empty()) {
@@ -546,7 +544,6 @@ void NetServer::Loop::process_requests(Connection* conn) {
         conn->stalled = true;
         stalled_.push_back(conn->uid());
         ++summary_.backpressure_stalls;
-        ++conn->stats().backpressure_stalls;
       }
       break;  // socket read interest drops until a slot frees up
     }
@@ -577,7 +574,6 @@ void NetServer::Loop::process_requests(Connection* conn) {
           });
     }
     ++summary_.requests;
-    ++conn->stats().requests;
     conn->ready_requests().pop_front();
   }
 }
@@ -598,9 +594,9 @@ void NetServer::Loop::flush_completed(Connection* conn) {
         break;
     }
     conn->out().append(done->result.line);
-    ++conn->stats().results;
   }
-  if (conn->failed && !conn->fail_noted && conn->in_flight() == 0) {
+  if (conn->failed && !conn->fail_noted && conn->in_flight() == 0 &&
+      conn->ready_requests().empty()) {
     conn->fail_noted = true;
     ++summary_.protocol_errors;
     conn->out().append("# protocol error: " + conn->fail_reason + "\n");
@@ -617,7 +613,6 @@ bool NetServer::Loop::try_write(Connection* conn) {
         ::send(conn->fd(), pending.data(), pending.size(), MSG_NOSIGNAL);
     if (n > 0) {
       conn->out().consume(static_cast<std::size_t>(n));
-      conn->stats().bytes_out += static_cast<std::uint64_t>(n);
       summary_.bytes_out += static_cast<std::uint64_t>(n);
       continue;
     }
@@ -650,6 +645,10 @@ void NetServer::Loop::maybe_close(Connection* conn) {
 }
 
 void NetServer::Loop::close_connection(Connection* conn) {
+  // No later connection can name an anonymous namespace, so its entries
+  // would only push live ones out of the LRU.  Named namespaces stay for
+  // reconnects and persistence.
+  if (!conn->named) cache_.erase_namespace(conn->namespace_id);
   poller_->remove(conn->fd());
   by_fd_.erase(conn->fd());
   idle_order_.erase(conn->idle_pos);
@@ -660,7 +659,6 @@ void NetServer::Loop::close_connection(Connection* conn) {
 void NetServer::Loop::fail_connection(Connection* conn, std::string reason) {
   conn->failed = true;
   conn->fail_reason = std::move(reason);
-  conn->ready_requests().clear();
 }
 
 void NetServer::Loop::touch_activity(Connection* conn) {
@@ -1014,7 +1012,8 @@ void NetServer::Router::flush_overdue() {
 }
 
 void NetServer::Router::run() {
-  poller_->add(server_.listen_fd_, true, false);
+  const bool listening = server_.listen_fd_ >= 0;
+  if (listening) poller_->add(server_.listen_fd_, true, false);
   poller_->add(server_.wake_read_fd_, true, false);
 
   std::vector<Poller::Event> events;
@@ -1037,9 +1036,11 @@ void NetServer::Router::run() {
 
   // Shutdown: stop accepting, refuse the handful of connections still in
   // pre-read (they have been sent nothing yet), then drain every shard.
-  poller_->remove(server_.listen_fd_);
-  ::close(server_.listen_fd_);
-  server_.listen_fd_ = -1;
+  if (listening) {
+    poller_->remove(server_.listen_fd_);
+    ::close(server_.listen_fd_);
+    server_.listen_fd_ = -1;
+  }
   for (const auto& [fd, p] : pre_reads_) {
     poller_->remove(fd);
     ::close(fd);
@@ -1056,8 +1057,6 @@ void NetServer::Router::run() {
 // Orchestration: run the router and the shard threads, aggregate, print
 
 NetServerSummary NetServer::run(std::ostream& summary_out) {
-  TREEPLACE_CHECK_MSG(listen_fd_ >= 0, "call listen_and_bind() before run()");
-
   std::vector<ShardReport> reports(shards_.size());
   std::vector<std::thread> threads;
   threads.reserve(shards_.size());
@@ -1209,6 +1208,100 @@ NetServerSummary NetServer::run(std::ostream& summary_out) {
                 << " restored=" << total.sessions_restored << "\n";
   }
   return total;
+}
+
+// ---------------------------------------------------------------------------
+// One istream served as one connection
+
+namespace {
+
+/// Feed-thread states: serve_stream joins an idle feed and detaches one
+/// blocked in a read of the caller's stream.
+enum FeedState : int { kFeedIdle, kFeedReading, kFeedStopped };
+
+/// Bytes per copy between a stream and its socket.
+constexpr std::streamsize kStreamChunk = 64 * 1024;
+
+/// Copies `in` into `fd` as its bytes arrive, then half-closes and closes
+/// `fd`.  Buffered bytes go out in one send; an unbuffered stream (a
+/// stdio-synchronized std::cin) goes out a line at a time, so an
+/// interactive producer never waits for a full chunk.
+void feed_stream(std::istream& in, int fd, std::atomic<int>& state) {
+  std::string chunk;
+  while (true) {
+    int idle = kFeedIdle;
+    if (!state.compare_exchange_strong(idle, kFeedReading)) break;
+    chunk.clear();
+    if (in.peek() != std::istream::traits_type::eof()) {
+      const std::streamsize avail = in.rdbuf()->in_avail();
+      if (avail > 0) {
+        chunk.resize(static_cast<std::size_t>(std::min(avail, kStreamChunk)));
+        chunk.resize(static_cast<std::size_t>(
+            in.readsome(chunk.data(), std::ssize(chunk))));
+      } else {
+        std::getline(in, chunk);
+        if (!in.eof()) chunk += '\n';
+      }
+    }
+    int reading = kFeedReading;
+    if (!state.compare_exchange_strong(reading, kFeedIdle)) break;
+    std::size_t sent = 0;
+    while (sent < chunk.size()) {
+      const ssize_t n = ::send(fd, chunk.data() + sent, chunk.size() - sent,
+                               MSG_NOSIGNAL);
+      if (n > 0) sent += static_cast<std::size_t>(n);
+      if (n <= 0 && errno != EINTR) break;  // the loop closed the connection
+    }
+    if (chunk.empty() || sent < chunk.size()) break;
+  }
+  ::shutdown(fd, SHUT_WR);
+  ::close(fd);
+}
+
+}  // namespace
+
+NetServerSummary NetServer::serve_stream(std::istream& in, std::ostream& out) {
+  config_.idle_timeout_seconds = 0;  // a producer may pause for any time
+  int fds[2];
+  TREEPLACE_CHECK_MSG(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0,
+                      "socketpair: " << std::strerror(errno));
+  set_nonblocking(fds[0]);
+  shard_conns_.fetch_add(1, std::memory_order_relaxed);
+  shards_[0]->handoffs.push_back(Handoff{fds[0], 0, {}, false});
+
+  // The feed owns a dup of the client end, so a detached feed never writes
+  // to a recycled descriptor.  A tied `in` (std::cin is tied to std::cout)
+  // would flush its tie from the feed thread while the drain writes `out`.
+  const int feed_fd = ::dup(fds[1]);
+  TREEPLACE_CHECK_MSG(feed_fd >= 0, "dup: " << std::strerror(errno));
+  const auto state = std::make_shared<std::atomic<int>>(kFeedIdle);
+  std::ostream* const tie = in.tie(nullptr);
+  std::thread feed([&in, feed_fd, state] { feed_stream(in, feed_fd, *state); });
+  std::thread drain([this, &out, fd = fds[1]] {
+    std::string buf(kStreamChunk, '\0');
+    while (true) {
+      const ssize_t n = ::read(fd, buf.data(), buf.size());
+      if (n > 0) {
+        out.write(buf.data(), n).flush();
+      } else if (n == 0 || errno != EINTR) {
+        break;  // closed by the loop (reset, if input was left unread)
+      }
+    }
+    shutdown();
+  });
+
+  std::ostringstream summary_block;
+  const NetServerSummary summary = run(summary_block);
+  drain.join();
+  ::close(fds[1]);
+  if (state->exchange(kFeedStopped) == kFeedReading) {
+    feed.detach();  // blocked on a producer that outlived the connection
+  } else {
+    feed.join();
+    in.tie(tie);
+  }
+  out << summary_block.str() << std::flush;
+  return summary;
 }
 
 }  // namespace treeplace::serve

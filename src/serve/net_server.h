@@ -1,5 +1,5 @@
-// Sharded async TCP serving tier: warm per-connection sessions that
-// survive shard kills and restarts.
+// The serving loop: warm per-connection sessions behind a sharded event
+// loop, fed by TCP connections or by one stdin stream.
 //
 // NetServer runs a router thread in front of K in-process shards.  Each
 // shard is a self-contained serving loop — its own event loop (epoll,
@@ -13,13 +13,18 @@
 // owning stable_hash64(name) — same name, same shard, same warm session
 // across reconnects — while anonymous connections spread by uid.  The
 // socket plus its pre-read bytes are then handed off to the shard.  There
-// records go through the same LineBuffer + RecordParser framing
-// (serve/wire.h) and the same bind_request() (serve/stream_server.h) as
-// in a StreamServer: each binds a TopologyCache entry + warm SolveSession
-// under a CacheKey namespaced by the connection, solves on the shard's
-// dispatcher, and returns per-connection-ordered result lines
-// byte-identical to a StreamServer run of the same records (modulo
-// queue_s=/solve_s= timings) — for any shard count.
+// records go through the LineBuffer + RecordParser framing
+// (serve/wire.h) and bind_request() (serve/binding.h): each binds a
+// TopologyCache entry + warm SolveSession under a CacheKey namespaced by
+// the connection, solves on the shard's dispatcher, and returns
+// per-connection-ordered result lines (serve/connection.h).  Those lines
+// equal serve_serially()'s for the same records (modulo queue_s=/solve_s=
+// timings) for any thread count, shard count or interleaving.
+//
+// serve_stream() hands one end of a socketpair to shard 0 like an accepted
+// socket, so stdin (`treeplace serve` without --listen) gets its ordering,
+// backpressure, hello replies, protocol errors and `#` summary block from
+// the same loop as TCP.
 //
 // Persistence (`persist_dir`): a named client's sessions are written as
 // versioned snapshots (core/dp_snapshot.h via SolveSession::save) when
@@ -38,11 +43,12 @@
 // later connections (including the killed clients' reconnects) land on
 // the survivors.
 //
-// Backpressure and drain semantics within a shard are unchanged from the
-// single-loop server: bounded dispatcher queue and per-connection output
-// caps mask socket reads (TCP flow control pushes back on the client),
+// Within a shard, a bounded dispatcher queue and per-connection output
+// caps mask socket reads (flow control pushes back on the client),
 // completions cross worker→loop through a mutex-protected queue plus the
 // shard's wake pipe, and graceful drain flushes every in-flight result.
+// A closed anonymous connection's cache namespace is erased with it (no
+// later connection can reach it); named namespaces stay for reconnects.
 #pragma once
 
 #include <atomic>
@@ -58,7 +64,7 @@
 #include <vector>
 
 #include "serve/connection.h"
-#include "serve/stream_server.h"
+#include "serve/binding.h"
 #include "serve/wire.h"
 
 namespace treeplace::serve {
@@ -124,7 +130,7 @@ struct NetServerConfig {
   std::size_t read_chunk = 64 * 1024;      ///< bytes per read() call
   std::size_t max_line_bytes = LineBuffer::kDefaultMaxLineBytes;
 
-  /// Solver, cache and result-format knobs, shared with stream mode.
+  /// Solver, cache and result-format knobs (serve/binding.h).
   /// Note cache_capacity bounds *resident topologies per shard*: serving
   /// K concurrent tree-publishing clients without eviction errors needs
   /// cache_capacity >= K on every shard their keys hash to.
@@ -192,8 +198,17 @@ class NetServer {
   /// Runs the router plus one serving thread per shard until shutdown(),
   /// then drains gracefully and writes the `#`-prefixed summary block to
   /// `summary_out` (aggregated across shards; per-shard `# shard i:`
-  /// lines follow when shards > 1).
+  /// lines follow when shards > 1).  Without listen_and_bind() the router
+  /// accepts nothing and only waits for shutdown().
   NetServerSummary run(std::ostream& summary_out);
+
+  /// Serves `in` as one anonymous connection on shard 0, never reaped
+  /// idle, until it closes: result lines in request order to `out`, then
+  /// the summary block.  A malformed stream gets the results of the
+  /// records before the bad line, then `# protocol error:`.  If the
+  /// connection closes while a read of `in` blocks (a pipe left open), the
+  /// reader thread is detached with `in` untied: `in` must outlive it.
+  NetServerSummary serve_stream(std::istream& in, std::ostream& out);
 
   /// Requests graceful shutdown of the whole server.  Async-signal-safe
   /// (atomic store plus a write() on the wake pipe); callable from any

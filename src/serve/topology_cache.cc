@@ -30,6 +30,7 @@ std::shared_ptr<SolveSession> TopologyCache::put(
   std::scoped_lock lock(mutex_);
   auto it = entries_.find(key);
   if (it != entries_.end()) {
+    retire(it->second.value);
     it->second.value =
         CachedTopology{std::move(topology), std::move(base), session};
     touch(it->second);
@@ -37,7 +38,8 @@ std::shared_ptr<SolveSession> TopologyCache::put(
   }
   if (entries_.size() >= capacity_) {
     // Evict the least recently used entry (the recency list's tail).
-    const CacheKey& victim = recency_.back();
+    const auto victim = entries_.find(recency_.back());
+    retire(victim->second.value);
     entries_.erase(victim);
     recency_.pop_back();
     ++stats_.evictions;
@@ -59,6 +61,16 @@ std::optional<CachedTopology> TopologyCache::get(const CacheKey& key) {
   ++stats_.hits;
   touch(it->second);
   return it->second.value;  // copy: the caller's scenario fork
+}
+
+void TopologyCache::erase_namespace(std::uint64_t namespace_id) {
+  std::scoped_lock lock(mutex_);
+  std::erase_if(entries_, [&](const auto& kv) {
+    if (kv.first.namespace_id != namespace_id) return false;
+    retire(kv.second.value);
+    recency_.erase(kv.second.recency);
+    return true;
+  });
 }
 
 bool TopologyCache::contains(const CacheKey& key) const {
@@ -85,6 +97,15 @@ TopologyCacheStats TopologyCache::stats() const {
     out.session_sealed_cells += s.sealed_cells_injected;
   }
   return out;
+}
+
+void TopologyCache::retire(const CachedTopology& entry) {
+  const SolveSession::Stats s = entry.session->stats();
+  stats_.session_snapshots_dropped += s.snapshots_dropped;
+  stats_.session_tables_dropped += s.tables_dropped;
+  stats_.session_cells_skipped += s.cells_skipped;
+  stats_.session_subtrees_sealed += s.subtrees_sealed;
+  stats_.session_sealed_cells += s.sealed_cells_injected;
 }
 
 void TopologyCache::touch(Entry& entry) {

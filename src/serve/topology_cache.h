@@ -8,8 +8,8 @@
 // safe at any time: topologies are handed out as shared_ptr, so in-flight
 // solves keep an evicted structure alive until they finish.
 //
-// Thread-safe: the serving loop's reader thread registers topologies while
-// pool workers may still hold references from earlier requests.
+// Thread-safe: the serving loop registers topologies while pool workers
+// may still hold references from earlier requests.
 #pragma once
 
 #include <cstddef>
@@ -28,12 +28,13 @@
 namespace treeplace::serve {
 
 /// Typed cache key: a topology key (the stream's ordinal "1", "2", ...)
-/// scoped by a namespace.  The single-stream server uses namespace 0; the
-/// TCP front-end namespaces by connection (uid, or the stable hash of the
-/// client's hello name), which is what lets every connection see the same
-/// ordinal keys a fresh stream would.  The same key identifies the entry
-/// in the shard router's hash ring and in on-disk snapshot file names, so
-/// a named session migrates shards or restarts under one identity.
+/// scoped by a namespace.  The serving loop namespaces by connection (uid,
+/// or the stable hash of the client's hello name), which is what lets
+/// every connection see the same ordinal keys a fresh stream would; the
+/// serial reference (serve/binding.h) uses namespace 0.  The same key
+/// identifies the entry in the shard router's hash ring and in on-disk
+/// snapshot file names, so a named session migrates shards or restarts
+/// under one identity.
 struct CacheKey {
   std::uint64_t namespace_id = 0;
   std::string topology_key;
@@ -70,18 +71,20 @@ struct TopologyCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
-  /// Aggregated over the *resident* sessions (warm-start byte budget,
-  /// SolveSession::Options::max_bytes): bytes held after the last warm
-  /// solve, and how much state the budget has shed so far.
+  /// Bytes held by the *resident* sessions after their last warm solve
+  /// (warm-start byte budget, SolveSession::Options::max_bytes).
   std::uint64_t session_bytes = 0;
+  /// The session counters below are cumulative: a session's counts stay
+  /// in the totals after its entry is evicted, replaced or erased.  How
+  /// much state the byte budget has shed so far:
   std::uint64_t session_snapshots_dropped = 0;
   std::uint64_t session_tables_dropped = 0;
-  /// Output cells spliced by lazy root-path joins across resident
-  /// sessions (see core/merge_kernel.h) — warm-solve work avoided.
+  /// Output cells spliced by lazy root-path joins (see
+  /// core/merge_kernel.h) — warm-solve work avoided.
   std::uint64_t session_cells_skipped = 0;
-  /// Frozen-subtree contraction across resident sessions (see
-  /// solver/contracted.h): subtrees sealed into injected leaves, and the
-  /// root-table cells those leaves spliced into contracted merge plans.
+  /// Frozen-subtree contraction (see solver/contracted.h): subtrees
+  /// sealed into injected leaves, and the root-table cells those leaves
+  /// spliced into contracted merge plans.
   std::uint64_t session_subtrees_sealed = 0;
   std::uint64_t session_sealed_cells = 0;
 };
@@ -110,6 +113,11 @@ class TopologyCache {
   /// may mutate it freely.
   std::optional<CachedTopology> get(const CacheKey& key);
 
+  /// Drops every entry in namespace `namespace_id` — the serving loop's
+  /// hook for a closed anonymous connection, whose namespace no later
+  /// request can reach.  Not counted as evictions.
+  void erase_namespace(std::uint64_t namespace_id);
+
   bool contains(const CacheKey& key) const;
   std::size_t size() const;
   TopologyCacheStats stats() const;
@@ -131,6 +139,8 @@ class TopologyCache {
   };
 
   void touch(Entry& entry);  // requires mutex_ held
+  /// Folds a dropped entry's session counters into stats_ (mutex_ held).
+  void retire(const CachedTopology& entry);
 
   const std::size_t capacity_;
   const SolveSession::Options session_options_;

@@ -1,6 +1,6 @@
-// The serve request stream and its wire framing, shared by the stream
-// server (serve/stream_server.h) and the TCP front-end
-// (serve/net_server.h).
+// The serve request stream and its wire framing, shared by the serving
+// loop (serve/net_server.h, over TCP or stdin) and the serial reference
+// (serve_serially in serve/binding.h).
 //
 // A serve stream is a concatenation of two record kinds; any line that
 // starts with "treeplace-" is a record header and ends the record before
@@ -37,12 +37,12 @@
 // Blank lines and `#` comments are skipped anywhere.  Numbers follow
 // support/line_cursor.h: a negative count or id where none is allowed is
 // malformed.  Parsing stops at syntax; resolving keys against the cache
-// and building instances is the servers' job (bind_request in
-// serve/stream_server.h), so bad references surface as per-request error
-// records rather than parser throws.
+// and building instances is bind_request's job (serve/binding.h), so bad
+// references surface as per-request error records rather than parser
+// throws.
 //
-// Bytes arrive in arbitrary fragments (a socket) or in blocks (an istream),
-// so parsing is incremental.  This header owns the framing pieces:
+// Bytes arrive in arbitrary fragments from a socket, so parsing is
+// incremental.  This header owns the framing pieces:
 //
 //   * LineBuffer — an append-only byte window that read() writes straight
 //     into (writable()/commit()); next_line() yields complete lines as
@@ -59,10 +59,10 @@
 //     socket accepts writes.
 //
 // Rendering also lives here: render_result() produces the `result ...`
-// line both servers emit, which is what makes the stream-versus-TCP
-// bit-identity gates possible.  The only per-run bytes are the
-// queue_s=/solve_s= timing fields; strip_timings() removes them for
-// comparisons.
+// line the serving loop and serve_serially both emit, which is what makes
+// the bit-identity gates against the serial reference possible.  The only
+// per-run bytes are the queue_s=/solve_s= timing fields; strip_timings()
+// removes them for comparisons.
 #pragma once
 
 #include <array>
@@ -111,14 +111,14 @@ bool is_hello_line(std::string_view line);
 HelloInfo parse_hello_line(std::string_view line);
 
 /// The comment line every server writes in response to a hello record,
-/// identical in stream and net mode (it is a `#` line, so it never
+/// identical on stdin and TCP (it is a `#` line, so it never
 /// perturbs result parsing or bit-identity comparisons).
 std::string_view hello_reply();
 
 // ---------------------------------------------------------------------------
 // LineBuffer
 
-/// Incremental line framing over bytes read from a socket or an istream.
+/// Incremental line framing over bytes read from a socket.
 /// The buffer compacts itself: consumed bytes are dropped the next time
 /// write space is requested, so steady-state serving reuses one allocation
 /// per connection.
@@ -184,8 +184,8 @@ class OutputBuffer {
 
 /// Incremental record assembly: feed complete lines, collect ServeRequests.
 /// Tree keys are ordinals, an E delta's mode is optional, header matching
-/// is token-exact, and malformed input throws CheckError (a stream error
-/// for StreamServer, a per-connection protocol error on the wire).
+/// is token-exact, and malformed input throws CheckError (a per-connection
+/// protocol error in the serving loop).
 class RecordParser {
  public:
   /// Feeds one framed line (no terminator).  Returns the record this line
@@ -219,7 +219,7 @@ class RecordParser {
 };
 
 // ---------------------------------------------------------------------------
-// Result rendering (shared by StreamServer and NetServer)
+// Result rendering (shared by the serving loop and serve_serially)
 
 struct ResultFormat {
   bool print_placements = true;
@@ -236,7 +236,7 @@ struct RenderedResult {
   double solve_seconds = 0.0;
 };
 
-/// Renders one result record; both servers emit exactly these bytes.
+/// Renders one result record; every serving path emits exactly these bytes.
 RenderedResult render_result(std::size_t id, const std::string& topo_key,
                              const ServeResult& result,
                              const ResultFormat& format);

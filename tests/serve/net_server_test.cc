@@ -1,9 +1,9 @@
 // End-to-end tests for the async TCP serving front-end: real loopback
 // sockets against an in-process NetServer.  The contracts under test are
 // the tentpole claims — per-connection result ordering, bit-identity with
-// single-stream StreamServer, backpressure via read-masking when the
-// dispatcher queue is full, graceful drain losing no in-flight result,
-// and both poller backends serving identically.
+// the serial reference (serve_serially), backpressure via read-masking
+// when the dispatcher queue is full, graceful drain losing no in-flight
+// result, and both poller backends serving identically.
 #include "serve/net_server.h"
 
 #include <gtest/gtest.h>
@@ -20,14 +20,13 @@
 #include <thread>
 #include <vector>
 
-#include "serve/stream_server.h"
 #include "tree/io.h"
 #include "tree/tree.h"
 
 namespace treeplace::serve {
 namespace {
 
-/// Same fixed layout as the stream-server tests: internal nodes 0, 1, 2, 6;
+/// Same fixed layout as the stdin serving tests: internal nodes 0, 1, 2, 6;
 /// clients 3, 4, 5, 7.
 Tree make_tree(RequestCount variant) {
   TreeBuilder b;
@@ -62,20 +61,9 @@ std::string make_stream(RequestCount variant = 0) {
   return out.str();
 }
 
-/// What StreamServer emits for `stream`, result lines only, timings
-/// stripped — the bit-identity reference for one connection.
-std::string stream_reference(const std::string& stream) {
-  std::istringstream in(stream);
-  std::ostringstream out;
-  StreamServer server(single_mode_config(2));
-  server.serve(in, out);
-  std::istringstream lines(out.str());
-  std::string line;
-  std::string results;
-  while (std::getline(lines, line)) {
-    if (line.rfind("result ", 0) == 0) results += line + "\n";
-  }
-  return strip_timings(results);
+/// The bit-identity reference for one connection's records.
+std::string serial_reference(const std::string& stream) {
+  return serve_serially(stream, single_mode_config(2));
 }
 
 // ---------------------------------------------------------------------------
@@ -163,7 +151,7 @@ std::vector<std::string> result_lines(const std::string& output) {
 
 // ---------------------------------------------------------------------------
 
-TEST(NetServerTest, SingleConnectionBitIdenticalToStreamServer) {
+TEST(NetServerTest, SingleConnectionBitIdenticalToSerialReference) {
   const std::string stream = make_stream();
   RunningServer running(net_config(2, 8));
 
@@ -173,7 +161,7 @@ TEST(NetServerTest, SingleConnectionBitIdenticalToStreamServer) {
   const std::string received = recv_to_eof(fd);
   ::close(fd);
 
-  EXPECT_EQ(strip_timings(received), stream_reference(stream));
+  EXPECT_EQ(strip_timings(received), serial_reference(stream));
 
   const NetServerSummary summary = running.stop();
   EXPECT_EQ(summary.accepted, 1u);
@@ -187,9 +175,9 @@ TEST(NetServerTest, SingleConnectionBitIdenticalToStreamServer) {
 
 TEST(NetServerTest, ManyConcurrentConnectionsStayOrderedAndIdentical) {
   // 64 simultaneously open connections, three stream variants.  Every
-  // connection must receive exactly what a fresh single-stream server
-  // would emit for its own records — per-connection ordinal topo keys,
-  // per-connection result order — no matter how solves interleave.
+  // connection must receive exactly what the serial reference emits for
+  // its own records — per-connection ordinal topo keys, per-connection
+  // result order — no matter how solves interleave.
   constexpr int kConns = 64;
   RunningServer running(net_config(4, kConns + 4));
 
@@ -197,7 +185,7 @@ TEST(NetServerTest, ManyConcurrentConnectionsStayOrderedAndIdentical) {
   std::string references[3];
   for (int v = 0; v < 3; ++v) {
     streams[v] = make_stream(static_cast<RequestCount>(v));
-    references[v] = stream_reference(streams[v]);
+    references[v] = serial_reference(streams[v]);
   }
 
   std::vector<int> fds(kConns);
@@ -279,7 +267,7 @@ TEST(NetServerTest, GracefulDrainLosesNoInFlightResult) {
 
   const std::string received = recv_to_eof(fd);  // EOF = server closed
   ::close(fd);
-  EXPECT_EQ(strip_timings(received), stream_reference(make_stream()));
+  EXPECT_EQ(strip_timings(received), serial_reference(make_stream()));
 
   const NetServerSummary summary = running.stop();
   EXPECT_EQ(summary.requests, 4u);
@@ -319,11 +307,58 @@ TEST(NetServerTest, ProtocolErrorFailsThatConnectionOnly) {
   ::shutdown(good, SHUT_WR);
   const std::string good_received = recv_to_eof(good);
   ::close(good);
-  EXPECT_EQ(strip_timings(good_received), stream_reference(make_stream()));
+  EXPECT_EQ(strip_timings(good_received), serial_reference(make_stream()));
 
   const NetServerSummary summary = running.stop();
   EXPECT_EQ(summary.protocol_errors, 1u);
   EXPECT_EQ(summary.ok, 4u);
+}
+
+/// Reads until at least one full line has arrived.
+std::string recv_line(int fd) {
+  std::string out;
+  char buf[4096];
+  while (out.find('\n') == std::string::npos) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    out.append(buf, static_cast<std::size_t>(n));
+  }
+  return out;
+}
+
+TEST(NetServerTest, ClosedAnonymousConnectionsLeaveTheCache) {
+  // Two cache slots.  Connection A publishes a tree and holds; three
+  // anonymous connections each publish a tree and close.  Their entries
+  // must leave the cache with them, or the third publish evicts A's
+  // topology and A's delta fails with `unknown topology`.
+  RunningServer running(net_config(2, 2));
+
+  const int held = connect_loopback(running.port());
+  // The bare header starts A's delta record, so the tree completes now
+  // and the delta only when A half-closes.
+  send_all(held, serialize_tree(make_tree(0)) + "treeplace-scenario v1 1\n");
+  EXPECT_NE(recv_line(held).find("result id=1 "), std::string::npos);
+
+  for (int i = 0; i < 3; ++i) {
+    const int fd = connect_loopback(running.port());
+    send_all(fd, make_stream(static_cast<RequestCount>(i)));
+    ::shutdown(fd, SHUT_WR);
+    EXPECT_EQ(result_lines(recv_to_eof(fd)).size(), 4u) << "conn " << i;
+    ::close(fd);
+  }
+
+  send_all(held, "R 3 7\n");
+  ::shutdown(held, SHUT_WR);
+  const std::vector<std::string> lines = result_lines(recv_to_eof(held));
+  ::close(held);
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("id=2 "), std::string::npos) << lines[0];
+  EXPECT_NE(lines[0].find("status=ok"), std::string::npos) << lines[0];
+
+  const NetServerSummary summary = running.stop();
+  EXPECT_EQ(summary.errors, 0u);
+  EXPECT_EQ(summary.cache.evictions, 0u);  // erasing is not evicting
+  EXPECT_EQ(summary.cache.size, 0u);
 }
 
 TEST(NetServerTest, PollBackendServesIdentically) {
@@ -342,7 +377,7 @@ TEST(NetServerTest, PollBackendServesIdentically) {
     running.stop();
   }
   ::unsetenv("TREEPLACE_POLLER");
-  EXPECT_EQ(strip_timings(received), stream_reference(stream));
+  EXPECT_EQ(strip_timings(received), serial_reference(stream));
 }
 
 TEST(NetServerTest, ArmTcpKeepaliveSetsAllFourSocketOptions) {
@@ -396,7 +431,7 @@ TEST(NetServerTest, KeepaliveConfigArmsAcceptedSockets) {
   // Keepalive hardening must not perturb the served bytes.
   const std::string received = recv_to_eof(fd);
   ::close(fd);
-  EXPECT_EQ(strip_timings(received), stream_reference(stream));
+  EXPECT_EQ(strip_timings(received), serial_reference(stream));
   running.stop();
 }
 

@@ -1,6 +1,6 @@
-// Serve request-stream grammar tests: RecordParser fed through the same
-// LineBuffer framing both servers use, plus the stream-level cases
-// (oversized lines, refused records) through StreamServer.
+// Serve request-stream grammar tests: RecordParser fed through the
+// LineBuffer framing the serving loop uses, plus the stream-level cases
+// (oversized lines, refused records) through NetServer::serve_stream.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "gen/tree_gen.h"
-#include "serve/stream_server.h"
+#include "serve/net_server.h"
 #include "serve/wire.h"
 #include "support/check.h"
 #include "tree/io.h"
@@ -23,8 +23,8 @@ std::string tree_record(std::uint64_t index = 0) {
   return serialize_tree(generate_tree(config, /*seed=*/91, index));
 }
 
-/// Runs a whole stream through LineBuffer + RecordParser, as the servers
-/// do: complete lines first, then the unterminated rest and finish().
+/// Runs a whole stream through LineBuffer + RecordParser, as the serving
+/// paths do: complete lines first, then the unterminated rest and finish().
 std::vector<ServeRequest> parse_all(std::string_view text) {
   LineBuffer buffer;
   const std::span<char> dst = buffer.writable(text.size());
@@ -243,49 +243,62 @@ TEST(RecordParserTest, EmptyStreamYieldsNothing) {
 }
 
 // ---------------------------------------------------------------------------
-// Stream-level cases, through StreamServer
+// Stream-level cases, through NetServer::serve_stream
 
-StreamServerConfig serial_config() {
-  StreamServerConfig config;
-  config.dispatcher.algos = {"update-dp"};
-  config.dispatcher.threads = 1;
-  return config;
+struct Served {
+  NetServerSummary summary;
+  std::string out;
+};
+
+Served serve(const std::string& stream) {
+  NetServerConfig config;
+  config.stream.dispatcher.algos = {"update-dp"};
+  config.stream.dispatcher.threads = 1;
+  NetServer server(std::move(config));
+  std::istringstream in(stream);
+  std::ostringstream out;
+  Served served;
+  served.summary = server.serve_stream(in, out);
+  served.out = out.str();
+  return served;
 }
 
-TEST(RequestStreamServeTest, OversizedLineIsAStreamError) {
-  std::istringstream in(tree_record() + "treeplace-scenario v1 1\nR 6 7 " +
-                        std::string(2u << 20, 'x') + "\n");
-  std::ostringstream out;
-  const StreamServerSummary summary =
-      StreamServer(serial_config()).serve(in, out);
-  EXPECT_TRUE(summary.stream_error);
-  EXPECT_NE(summary.stream_error_message.find("oversized line"),
-            std::string::npos);
-  EXPECT_EQ(summary.requests, 1u);  // the tree before it is still served
-  EXPECT_NE(out.str().find("result id=1 "), std::string::npos);
+/// The `# protocol error: ...` line of `out`, or "" when there is none.
+std::string protocol_error_line(const std::string& out) {
+  const std::size_t at = out.find("# protocol error: ");
+  if (at == std::string::npos) return "";
+  return out.substr(at, out.find('\n', at) - at);
 }
 
-TEST(RequestStreamServeTest, NegativeRequestCountIsAStreamError) {
-  std::istringstream in(tree_record() + "treeplace-scenario v1 1\nR 2 -5\n");
-  std::ostringstream out;
-  const StreamServerSummary summary =
-      StreamServer(serial_config()).serve(in, out);
-  EXPECT_TRUE(summary.stream_error);
-  EXPECT_NE(summary.stream_error_message.find("malformed R delta"),
-            std::string::npos);
-  EXPECT_EQ(summary.requests, 1u);
-  EXPECT_NE(out.str().find("result id=1 "), std::string::npos);
-  EXPECT_EQ(out.str().find("result id=2 "), std::string::npos);
+TEST(RequestStreamServeTest, OversizedLineIsAProtocolError) {
+  const Served served = serve(tree_record() +
+                              "treeplace-scenario v1 1\nR 6 7 " +
+                              std::string(2u << 20, 'x') + "\n");
+  EXPECT_EQ(served.summary.protocol_errors, 1u);
+  EXPECT_NE(protocol_error_line(served.out).find("oversized line"),
+            std::string::npos)
+      << protocol_error_line(served.out);
+  EXPECT_EQ(served.summary.requests, 1u);  // the tree before it is served
+  EXPECT_NE(served.out.find("result id=1 "), std::string::npos);
+}
+
+TEST(RequestStreamServeTest, NegativeRequestCountIsAProtocolError) {
+  const Served served =
+      serve(tree_record() + "treeplace-scenario v1 1\nR 2 -5\n");
+  EXPECT_EQ(served.summary.protocol_errors, 1u);
+  EXPECT_NE(protocol_error_line(served.out).find("malformed R delta"),
+            std::string::npos)
+      << protocol_error_line(served.out);
+  EXPECT_EQ(served.summary.requests, 1u);
+  EXPECT_NE(served.out.find("result id=1 "), std::string::npos);
+  EXPECT_EQ(served.out.find("result id=2 "), std::string::npos);
 }
 
 TEST(RequestStreamServeTest, HelloReplyPrecedesResults) {
-  std::istringstream in("treeplace-hello v1\n" + tree_record());
-  std::ostringstream out;
-  const StreamServerSummary summary =
-      StreamServer(serial_config()).serve(in, out);
-  EXPECT_FALSE(summary.stream_error);
-  EXPECT_EQ(summary.requests, 1u);
-  EXPECT_EQ(out.str().rfind(std::string(hello_reply()) + "result id=1 ", 0),
+  const Served served = serve("treeplace-hello v1\n" + tree_record());
+  EXPECT_EQ(served.summary.protocol_errors, 0u);
+  EXPECT_EQ(served.summary.requests, 1u);
+  EXPECT_EQ(served.out.rfind(std::string(hello_reply()) + "result id=1 ", 0),
             0u);
 }
 

@@ -20,7 +20,7 @@ Tree make_tree(std::uint64_t index) {
   return generate_tree(config, /*seed=*/77, index);
 }
 
-/// Keys in the single-stream namespace (0), as StreamServer issues them.
+/// Keys in namespace 0, as serve_serially issues them.
 CacheKey key(std::string topology_key) {
   return CacheKey{0, std::move(topology_key)};
 }
@@ -201,6 +201,51 @@ TEST(TopologyCacheTest, EvictionDropsSessionButHandedOutCopiesSurvive) {
   // The handed-out shared_ptr keeps the evicted session usable.
   ASSERT_NE(held, nullptr);
   EXPECT_EQ(held->topology_ptr(), a.topology_ptr());
+}
+
+TEST(TopologyCacheTest, EraseNamespaceDropsOnlyThatNamespace) {
+  TopologyCache cache(4);
+  Tree a = make_tree(0);
+  Tree b = make_tree(1);
+  cache.put(CacheKey{7, "1"}, a.topology_ptr(), a.scenario());
+  cache.put(CacheKey{7, "2"}, b.topology_ptr(), b.scenario());
+  cache.put(CacheKey{8, "1"}, b.topology_ptr(), b.scenario());
+
+  cache.erase_namespace(7);
+  EXPECT_FALSE(cache.contains(CacheKey{7, "1"}));
+  EXPECT_FALSE(cache.contains(CacheKey{7, "2"}));
+  EXPECT_TRUE(cache.contains(CacheKey{8, "1"}));
+  EXPECT_EQ(cache.stats().evictions, 0u);  // erasing is not evicting
+  EXPECT_EQ(cache.stats().size, 1u);
+  // The freed slots take new entries without evicting the survivor.
+  cache.put(CacheKey{9, "1"}, a.topology_ptr(), a.scenario());
+  cache.put(CacheKey{9, "2"}, a.topology_ptr(), a.scenario());
+  cache.put(CacheKey{9, "3"}, a.topology_ptr(), a.scenario());
+  EXPECT_TRUE(cache.contains(CacheKey{8, "1"}));
+  EXPECT_EQ(cache.stats().evictions, 0u);
+}
+
+TEST(TopologyCacheTest, DroppedSessionCountersStayInTheTotals) {
+  // Erased, evicted and replaced entries all fold their session counters
+  // into the cache totals; only session_bytes counts residents alone.
+  TopologyCache cache(1);
+  Tree a = make_tree(0);
+  Tree b = make_tree(1);
+  cache.put(CacheKey{7, "1"}, a.topology_ptr(), a.scenario())
+      ->record_contraction(/*sealed=*/3, /*cells=*/30);
+  cache.erase_namespace(7);
+  cache.put(CacheKey{8, "1"}, b.topology_ptr(), b.scenario())
+      ->record_contraction(5, 50);
+  cache.put(CacheKey{8, "1"}, b.topology_ptr(), b.scenario())  // replaces
+      ->record_contraction(7, 70);
+  cache.put(CacheKey{9, "1"}, a.topology_ptr(), a.scenario())  // evicts
+      ->record_contraction(11, 110);
+
+  const TopologyCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.size, 1u);
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.session_subtrees_sealed, 3u + 5u + 7u + 11u);
+  EXPECT_EQ(stats.session_sealed_cells, 30u + 50u + 70u + 110u);
 }
 
 }  // namespace

@@ -2,12 +2,12 @@
 // the library-level twin of `treeplace workload | treeplace serve`.
 //
 // A DiurnalWorkload's delta batches are rendered as `treeplace-scenario`
-// records (the grammar of serve/wire.h) and served by a
-// StreamServer twice: once against the user-level skew tree, once against
-// its Aggregation with each batch folded through map_deltas.  The two
-// streams must agree on every objective value (cost, power, server
-// count) — the aggregation exactness contract surfacing at the serving
-// boundary — and the aggregate stream must be materially smaller.
+// records (the grammar of serve/wire.h) and served on stdin's path
+// (NetServer::serve_stream) twice: once against the user-level skew tree,
+// once against its Aggregation with each batch folded through map_deltas.
+// The two streams must agree on every objective value (cost, power,
+// server count) — the aggregation exactness contract surfacing at the
+// serving boundary — and the aggregate stream must be materially smaller.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -17,7 +17,7 @@
 
 #include "gen/tree_gen.h"
 #include "gen/workload.h"
-#include "serve/stream_server.h"
+#include "serve/net_server.h"
 #include "support/prng.h"
 #include "tree/aggregate.h"
 #include "tree/io.h"
@@ -99,26 +99,26 @@ TEST(WorkloadStreamTest, AggregatedStreamServesIdenticalObjectiveValues) {
   // tick bounded by touched attachment points, not touched users.
   EXPECT_LT(agg_records, user_records);
 
-  StreamServerConfig config;
-  config.dispatcher.algos = {"power-sym"};
-  config.dispatcher.threads = 2;
-  config.modes = ModeSet({40000, 80000}, 12.5, 3.0);
-  config.costs = CostModel::uniform(2, 0.1, 0.01, 0.001, 0.001);
-  config.project_original_modes = false;
+  NetServerConfig config;
+  config.stream.dispatcher.algos = {"power-sym"};
+  config.stream.dispatcher.threads = 2;
+  config.stream.modes = ModeSet({40000, 80000}, 12.5, 3.0);
+  config.stream.costs = CostModel::uniform(2, 0.1, 0.01, 0.001, 0.001);
+  config.stream.project_original_modes = false;
 
   std::istringstream user_in(user_stream.str());
   std::ostringstream user_out;
-  const StreamServerSummary user_summary =
-      StreamServer(config).serve(user_in, user_out);
+  const NetServerSummary user_summary =
+      NetServer(config).serve_stream(user_in, user_out);
   std::istringstream agg_in(agg_stream.str());
   std::ostringstream agg_out;
-  const StreamServerSummary agg_summary =
-      StreamServer(config).serve(agg_in, agg_out);
+  const NetServerSummary agg_summary =
+      NetServer(config).serve_stream(agg_in, agg_out);
 
   EXPECT_EQ(user_summary.ok, 5u);  // base solve + 4 ticks
   EXPECT_EQ(agg_summary.ok, 5u);
-  EXPECT_FALSE(user_summary.stream_error);
-  EXPECT_FALSE(agg_summary.stream_error);
+  EXPECT_EQ(user_summary.protocol_errors, 0u);
+  EXPECT_EQ(agg_summary.protocol_errors, 0u);
 
   std::vector<std::string> user_values;
   std::vector<std::string> agg_values;

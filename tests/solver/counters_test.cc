@@ -14,10 +14,8 @@
 #include "core/dp_update.h"
 #include "core/power_common.h"
 #include "gen/tree_gen.h"
-#include "serve/connection.h"
 #include "serve/dispatcher.h"
 #include "serve/net_server.h"
-#include "serve/stream_server.h"
 #include "serve/topology_cache.h"
 #include "solver/session.h"
 #include "solver/solution.h"
@@ -49,10 +47,6 @@ TREEPLACE_ASSERT_U64(SolveSession::Stats::snapshots_dropped);
 TREEPLACE_ASSERT_U64(SolveSession::Stats::tables_dropped);
 TREEPLACE_ASSERT_U64(SolveSession::Stats::subtrees_sealed);
 TREEPLACE_ASSERT_U64(SolveSession::Stats::sealed_cells_injected);
-TREEPLACE_ASSERT_U64(serve::ConnectionStats::bytes_in);
-TREEPLACE_ASSERT_U64(serve::ConnectionStats::bytes_out);
-TREEPLACE_ASSERT_U64(serve::ConnectionStats::requests);
-TREEPLACE_ASSERT_U64(serve::ConnectionStats::results);
 TREEPLACE_ASSERT_U64(serve::SolverLatencyStats::solves);
 TREEPLACE_ASSERT_U64(serve::SolverLatencyStats::warm);
 TREEPLACE_ASSERT_U64(serve::SolverLatencyStats::total_work);
@@ -60,11 +54,13 @@ TREEPLACE_ASSERT_U64(serve::DispatcherStats::submitted);
 TREEPLACE_ASSERT_U64(serve::DispatcherStats::completed);
 TREEPLACE_ASSERT_U64(serve::NetServerSummary::accepted);
 TREEPLACE_ASSERT_U64(serve::NetServerSummary::requests);
-TREEPLACE_ASSERT_U64(serve::StreamServerSummary::requests);
-TREEPLACE_ASSERT_U64(serve::StreamServerSummary::ok);
-TREEPLACE_ASSERT_U64(serve::StreamServerSummary::infeasible);
-TREEPLACE_ASSERT_U64(serve::StreamServerSummary::errors);
-TREEPLACE_ASSERT_U64(serve::StreamServerSummary::over_budget);
+TREEPLACE_ASSERT_U64(serve::NetServerSummary::ok);
+TREEPLACE_ASSERT_U64(serve::NetServerSummary::infeasible);
+TREEPLACE_ASSERT_U64(serve::NetServerSummary::errors);
+TREEPLACE_ASSERT_U64(serve::NetServerSummary::over_budget);
+TREEPLACE_ASSERT_U64(serve::NetServerSummary::protocol_errors);
+TREEPLACE_ASSERT_U64(serve::NetServerSummary::bytes_in);
+TREEPLACE_ASSERT_U64(serve::NetServerSummary::bytes_out);
 TREEPLACE_ASSERT_U64(serve::TopologyCacheStats::hits);
 TREEPLACE_ASSERT_U64(serve::TopologyCacheStats::session_bytes);
 TREEPLACE_ASSERT_U64(serve::TopologyCacheStats::session_cells_skipped);

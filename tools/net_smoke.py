@@ -3,12 +3,17 @@
 async TCP front-end at the CLI level; the in-process coverage lives in
 tests/serve/net_server_test.cc and bench/connection_churn.cc).
 
-Starts the server on an ephemeral port, computes the reference output by
-running the same binary in single-stream serve mode, then drives a few
-hundred short-lived concurrent connections, each publishing a tree plus
-three scenario deltas and asserting its bytes are ordered and
-bit-identical (timings stripped) to the stream-mode reference.  Finally
-SIGTERMs the server and asserts a graceful exit with a flushed summary.
+First checks stdin serving, which runs as one connection on the same
+serving loop: a good tree record and then a malformed record fed through
+a pipe that stays open must exit 2 within 10 s with the good record's
+result printed, and the reference output (`treeplace serve` with the
+conversation piped to stdin) must equal a run with stdin redirected
+from a regular file.  Then starts the server on an ephemeral port,
+drives a few hundred short-lived concurrent connections, each publishing
+a tree plus three scenario deltas, and asserts each connection's bytes
+are ordered and bit-identical (timings stripped) to the stdin reference.
+Finally SIGTERMs the server and asserts a graceful exit with a flushed
+summary.
 
 With --shards > 1 the server runs the sharded router and, after the main
 connection sweep, the test SIGUSR1s the server to kill one shard and
@@ -26,6 +31,7 @@ import signal
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 
@@ -61,20 +67,48 @@ def strip_timings(text: str) -> str:
     )
 
 
-def stream_reference(binary: str) -> str:
-    """Result lines StreamServer emits for STREAM, timings stripped."""
-    proc = subprocess.run(
-        [binary] + SERVE_ARGS,
-        input=STREAM.encode(),
-        stdout=subprocess.PIPE,
-        check=True,
+def serve_stdin(binary: str, stdin) -> str:
+    """Result lines, timings stripped, of `treeplace serve` reading `stdin`
+    (bytes through a pipe, or an open file)."""
+    feed = {"input": stdin} if isinstance(stdin, bytes) else {"stdin": stdin}
+    out = subprocess.run(
+        [binary] + SERVE_ARGS, stdout=subprocess.PIPE, check=True, **feed
+    ).stdout.decode()
+    return strip_timings(
+        "".join(line + "\n" for line in out.splitlines()
+                if line.startswith("result "))
     )
-    results = "".join(
-        line + "\n"
-        for line in proc.stdout.decode().splitlines()
-        if line.startswith("result ")
+
+
+def check_stdin(binary: str, reference: str) -> str:
+    """Stdin-mode checks; returns an error message, or "" when all pass."""
+    # A malformed record on a pipe the producer keeps open: the connection
+    # fails and the process exits without waiting for end of input.
+    proc = subprocess.Popen(
+        [binary] + SERVE_ARGS, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
     )
-    return strip_timings(results)
+    proc.stdin.write((TREE + "treeplace-scenario v1 1\nR 3 garbage\n").encode())
+    proc.stdin.flush()
+    try:
+        code = proc.wait(timeout=10)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
+        return "stdin: malformed record on an open pipe did not exit in 10 s"
+    out = proc.stdout.read().decode()
+    proc.stdin.close()
+    if code != 2 or "result id=1 topo=1 status=ok" not in out or (
+        "# protocol error:" not in out
+    ):
+        return "stdin: malformed record exited %d, want 2 after the good " \
+            "record's result and a protocol error:\n%s" % (code, out)
+    with tempfile.TemporaryFile() as f:
+        f.write(STREAM.encode())
+        f.seek(0)
+        if serve_stdin(binary, f) != reference:
+            return "stdin: regular-file stdin diverged from piped stdin"
+    return ""
 
 
 def one_connection(
@@ -119,9 +153,13 @@ def main() -> int:
     ap.add_argument("--concurrency", type=int, default=8)
     args = ap.parse_args()
 
-    reference = stream_reference(args.binary)
+    reference = serve_stdin(args.binary, STREAM.encode())
     if "status=ok" not in reference:
-        print("smoke: stream-mode reference has no ok results:\n" + reference)
+        print("smoke: stdin reference has no ok results:\n" + reference)
+        return 1
+    error = check_stdin(args.binary, reference)
+    if error:
+        print("smoke: " + error)
         return 1
 
     serve_args = SERVE_ARGS + ["--listen", "127.0.0.1:0"]
@@ -142,20 +180,24 @@ def main() -> int:
 
         failures: list = []
         lock = threading.Lock()
-        remaining = args.connections
-        while remaining > 0 and not failures:
-            batch = min(args.concurrency, remaining)
-            threads = [
-                threading.Thread(
-                    target=one_connection, args=(port, reference, failures, lock)
-                )
-                for _ in range(batch)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            remaining -= batch
+
+        def sweep(connections: int, retries: int) -> None:
+            remaining = connections
+            while remaining > 0 and not failures:
+                threads = [
+                    threading.Thread(
+                        target=one_connection,
+                        args=(port, reference, failures, lock, retries),
+                    )
+                    for _ in range(min(args.concurrency, remaining))
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+                remaining -= len(threads)
+
+        sweep(args.connections, 0)
 
         # Kill one shard between batches (no connections in flight) and
         # assert the survivors keep serving bit-identical results.
@@ -163,28 +205,15 @@ def main() -> int:
         if args.shards > 1 and not failures:
             server.send_signal(signal.SIGUSR1)
             time.sleep(0.5)  # let the shard drain and leave the ring
-            remaining = kill_conns = 2 * args.concurrency
-            while remaining > 0 and not failures:
-                batch = min(args.concurrency, remaining)
-                threads = [
-                    threading.Thread(
-                        target=one_connection,
-                        args=(port, reference, failures, lock, 1),
-                    )
-                    for _ in range(batch)
-                ]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join()
-                remaining -= batch
+            kill_conns = 2 * args.concurrency
+            sweep(kill_conns, 1)
     finally:
         server.send_signal(signal.SIGTERM)
         tail = server.stdout.read().decode()
         code = server.wait(timeout=60)
 
     if failures:
-        print("smoke: %d of %d connections diverged from stream mode"
+        print("smoke: %d of %d connections diverged from stdin mode"
               % (len(failures), args.connections))
         print(failures[0])
         return 1
@@ -211,8 +240,8 @@ def main() -> int:
             print("smoke: summary reports %d killed shards, want 1:\n%s"
                   % (killed, tail))
             return 1
-    print("smoke: %d connections (%d concurrent, %d shard%s), all "
-          "bit-identical to stream mode; graceful drain ok"
+    print("smoke: stdin checks ok; %d connections (%d concurrent, %d "
+          "shard%s), all bit-identical to stdin mode; graceful drain ok"
           % (args.connections + kill_conns, args.concurrency, args.shards,
              "" if args.shards == 1 else "s"))
     return 0

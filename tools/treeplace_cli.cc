@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "serve/net_server.h"
-#include "serve/stream_server.h"
 #include "treeplace.h"
 #include "tree/aggregate.h"
 #include "tree/metrics.h"
@@ -521,12 +520,12 @@ void raise_nofile_limit() {
   }
 }
 
-/// `serve --listen`: the async TCP front-end (serve/net_server.h).
-int cmd_serve_net(const Args& args, serve::StreamServerConfig stream_config) {
+/// `serve --listen`: the serving loop (serve/net_server.h) on TCP.
+serve::NetServerSummary serve_listen(const Args& args,
+                                     serve::NetServerConfig config) {
   const std::string listen = args.get("listen", "");
   const auto colon = listen.rfind(':');
   if (colon == std::string::npos) usage("--listen expects HOST:PORT");
-  serve::NetServerConfig config;
   config.host = listen.substr(0, colon);
   const std::int64_t port = std::stoll(listen.substr(colon + 1));
   if (port < 0 || port > 65535) usage("--listen port out of range");
@@ -537,7 +536,6 @@ int cmd_serve_net(const Args& args, serve::StreamServerConfig stream_config) {
       static_cast<int>(get_count(args, "keepalive", 0, 0));
   config.shards = get_count(args, "shards", 1, 1);
   config.persist_dir = args.get("persist", "");
-  config.stream = std::move(stream_config);
 
   raise_nofile_limit();
   serve::NetServer server(std::move(config));
@@ -555,16 +553,11 @@ int cmd_serve_net(const Args& args, serve::StreamServerConfig stream_config) {
   std::signal(SIGINT, SIG_DFL);
   std::signal(SIGUSR1, SIG_DFL);
   g_net_server = nullptr;
-
-  if (summary.errors > 0 || summary.protocol_errors > 0) return kExitUsage;
-  if (summary.infeasible > 0 || summary.over_budget > 0) {
-    return kExitInfeasible;
-  }
-  return kExitSuccess;
+  return summary;
 }
 
-/// The batch-serving loop: mixed tree / scenario-delta records on stdin,
-/// one result record per request on stdout (see serve/stream_server.h).
+/// The serving loop: mixed tree / scenario-delta records on stdin (served
+/// as one connection) or TCP, one result record per request.
 int cmd_serve(const Args& args) {
   if (!args.has("algo")) usage("serve requires --algo NAME");
   const std::string algo = args.get("algo", "");
@@ -577,7 +570,8 @@ int cmd_serve(const Args& args) {
   }
   const InstanceParams params = parse_instance_params(args, *info);
 
-  serve::StreamServerConfig config;
+  serve::NetServerConfig net;
+  serve::StreamServerConfig& config = net.stream;
   config.dispatcher.algos = {algo};
   config.dispatcher.threads = get_count(args, "threads", 0, 0);
   config.dispatcher.queue_capacity = get_count(args, "queue", 0, 0);
@@ -595,17 +589,22 @@ int cmd_serve(const Args& args) {
   config.cost_budget = params.budget;
   config.project_original_modes = params.single_mode;
 
-  if (args.has("listen")) return cmd_serve_net(args, std::move(config));
-
-  serve::StreamServer server(std::move(config));
-  const serve::StreamServerSummary summary = server.serve(std::cin, std::cout);
-  if (summary.stream_error) {
-    std::cerr << "error: malformed request stream: "
-              << summary.stream_error_message << "\n";
-    return kExitUsage;
+  serve::NetServerSummary summary;
+  if (args.has("listen")) {
+    summary = serve_listen(args, std::move(net));
+  } else {
+    // An unsynchronized std::cin buffers what each read() returns, so the
+    // stream reaches the loop in blocks rather than line by line.
+    std::ios::sync_with_stdio(false);
+    summary =
+        serve::NetServer(std::move(net)).serve_stream(std::cin, std::cout);
+    if (summary.protocol_errors > 0) {
+      std::cerr << "error: malformed request stream (see '# protocol error')\n";
+    } else if (summary.requests == 0) {
+      usage("no request on stdin");
+    }
   }
-  if (summary.requests == 0) usage("no request on stdin");
-  if (summary.errors > 0) return kExitUsage;
+  if (summary.errors > 0 || summary.protocol_errors > 0) return kExitUsage;
   if (summary.infeasible > 0 || summary.over_budget > 0) {
     return kExitInfeasible;
   }
